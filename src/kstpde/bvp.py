@@ -41,15 +41,13 @@ class SingularMatrixError(RuntimeError):
 class BvpProblem:
     """First-order two-point BVP on [z_min, z_max] with N uniform nodes.
 
-    ``rhs(z, U, W)`` returns (U', W') and must accept numpy arrays.
-    ``bc_left``/``bc_right`` map the endpoint state (U, W) to a residual.
+    ``rhs(z, U, W)`` returns (U', W') and must accept numpy arrays.  Both
+    ends carry the Dirichlet-zero condition U = 0.
     """
 
     z_min: float
     z_max: float
     rhs: Callable
-    bc_left: Callable[[float, float], float]
-    bc_right: Callable[[float, float], float]
     n_nodes: int
 
     def __post_init__(self):
@@ -81,10 +79,10 @@ def _residual(problem: BvpProblem, z: np.ndarray, state: np.ndarray) -> np.ndarr
     fU = np.broadcast_to(np.asarray(fU, dtype=float), (n,))
     fW = np.broadcast_to(np.asarray(fW, dtype=float), (n,))
     r = np.empty(2 * n)
-    r[0] = problem.bc_left(U[0], W[0])
+    r[0] = U[0]
     r[1:n] = U[1:] - U[:-1] - 0.5 * h * (fU[1:] + fU[:-1])
     r[n : 2 * n - 1] = W[1:] - W[:-1] - 0.5 * h * (fW[1:] + fW[:-1])
-    r[2 * n - 1] = problem.bc_right(U[-1], W[-1])
+    r[2 * n - 1] = U[-1]
     return r
 
 

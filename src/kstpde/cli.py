@@ -11,40 +11,47 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from . import combinatorics, reduction, variational
-from .bvp import export_solution_csv, ode_residual
+from . import checks, combinatorics, variational
+from .bvp import SingularMatrixError, export_solution_csv, ode_residual
 from .inner import (
     FMT,
+    MonotonicityError,
     build_psi,
     compute_constants,
     export_derivs_csv,
     export_psi_csv,
 )
 from .reduction import (
+    DegenerateBoundaryError,
     Field2D,
+    SingularJacobianError,
     SliceProblem,
     analytic_solution,
     compare_slice,
     export_field_csv,
-    jacobian_factor,
     reconstruct_field,
     solve_slice,
     x1_of_z,
 )
-from .taylor import OuterFunctionSet, TaylorConfig, shifted_exact_eval, taylor_kst_eval
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+# typed numerical failures: reported on stderr with exit 1, never as a traceback
+NUMERICAL_ERRORS = (
+    SingularMatrixError,
+    MonotonicityError,
+    DegenerateBoundaryError,
+    SingularJacobianError,
+)
 
 DEFAULTS = {
     "gamma": 10,
@@ -136,17 +143,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _config_dict(cfg: RunConfig) -> dict:
-    d = asdict(cfg)
-    d["out"] = str(cfg.out)
-    return d
-
-
 def write_manifest(cfg: RunConfig, artifacts: list[Path]) -> Path:
     checksums = {}
     for p in sorted(artifacts, key=str):
         checksums[p.name] = hashlib.sha256(p.read_bytes()).hexdigest()
-    manifest = {"config": _config_dict(cfg), "artifacts": checksums}
+    manifest = {"config": {**asdict(cfg), "out": str(cfg.out)}, "artifacts": checksums}
     path = cfg.out / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
@@ -158,11 +159,19 @@ def _params_and_table(cfg: RunConfig, k: int):
 
 
 # --------------------------------------------------------------------------
-# subcommands
+# subcommands: each writes its artifacts under cfg.out and returns
+# (artifacts, ok); main writes the manifest and maps ok to the exit code
+
+CommandResult = tuple[list[Path], bool]
 
 
-def cmd_psi(cfg: RunConfig) -> int:
-    cfg.out.mkdir(parents=True, exist_ok=True)
+def _write_json(cfg: RunConfig, name: str, payload) -> Path:
+    path = cfg.out / name
+    path.write_text(json.dumps(payload, indent=2) + "\n")
+    return path
+
+
+def cmd_psi(cfg: RunConfig, args: argparse.Namespace) -> CommandResult:
     artifacts = []
     for k in cfg.k:
         params, table = _params_and_table(cfg, k)
@@ -172,11 +181,16 @@ def cmd_psi(cfg: RunConfig) -> int:
         p2 = cfg.out / f"psi_derivs_k{k}.csv"
         export_derivs_csv(table, xs, p2)
         artifacts += [p1, p2]
-    write_manifest(cfg, artifacts)
-    return EXIT_OK
+        increments = np.diff(table.values)
+        print(
+            f"k={k}: {len(table.values)} nodes, "
+            f"min increment {increments.min():.3e}, "
+            f"max increment {increments.max():.3e}"
+        )
+    return artifacts, True
 
 
-def cmd_constants(cfg: RunConfig) -> int:
+def cmd_constants(cfg: RunConfig, args: argparse.Namespace) -> CommandResult:
     params = compute_constants(cfg.n, cfg.gamma, cfg.terms, k=cfg.k[0])
     payload = {
         "gamma": cfg.gamma,
@@ -186,63 +200,35 @@ def cmd_constants(cfg: RunConfig) -> int:
         "a_decimal": FMT % float(params.a),
         "alpha": [FMT % a for a in params.alpha_float],
     }
-    cfg.out.mkdir(parents=True, exist_ok=True)
+    rows = [("a", payload["a"])] + [
+        (f"alpha_{p}", a) for p, a in enumerate(payload["alpha"], start=1)
+    ]
     if cfg.format == "json":
-        path = cfg.out / "constants.json"
-        path.write_text(json.dumps(payload, indent=2) + "\n")
+        path = _write_json(cfg, "constants.json", payload)
     else:
         path = cfg.out / "constants.csv"
-        with open(path, "w") as fh:
-            fh.write("name,value\n")
-            fh.write(f"a,{payload['a']}\n")
-            for p, a in enumerate(payload["alpha"], start=1):
-                fh.write(f"alpha_{p},{a}\n")
-    print(f"a = {payload['a']}")
-    for p, a in enumerate(payload["alpha"], start=1):
-        print(f"alpha_{p} = {a}")
-    write_manifest(cfg, [path])
-    return EXIT_OK
+        path.write_text("name,value\n" + "".join(f"{name},{v}\n" for name, v in rows))
+    for name, v in rows:
+        print(f"{name} = {v}")
+    return [path], True
 
 
-def cmd_bell(cfg: RunConfig, max_m: int) -> int:
-    cfg.out.mkdir(parents=True, exist_ok=True)
+def cmd_bell(cfg: RunConfig, args: argparse.Namespace) -> CommandResult:
     path = cfg.out / "bell_partitions.csv"
-    combinatorics.export_partitions_csv(max_m, path)
-    write_manifest(cfg, [path])
-    return EXIT_OK
+    combinatorics.export_partitions_csv(args.max_m, path)
+    return [path], True
 
 
-def cmd_taylor_check(cfg: RunConfig) -> int:
+def cmd_taylor_check(cfg: RunConfig, args: argparse.Namespace) -> CommandResult:
     """Truncation-order study with cubic outer functions and identity table."""
     params, table = _params_and_table(cfg, 1)
-    rng = np.random.default_rng(7)
-    outer = OuterFunctionSet.from_polynomials(
-        [rng.standard_normal(4) for _ in range(2 * cfg.n + 1)]
-    )
-    points = [(0.2, 0.3), (0.55, 0.7), (0.85, 0.15)]
-    a_values = [1e-2, 5e-3, 2.5e-3]
-    report = {"a_values": a_values, "orders": {}}
-    ok = True
-    for M in (0, 1, 2):
-        errs = []
-        for a in a_values:
-            e = max(
-                abs(
-                    shifted_exact_eval(outer, x, a, table, params)
-                    - taylor_kst_eval(outer, x, TaylorConfig(M=M, a_override=a), table, params)
-                )
-                for x in points
-            )
-            errs.append(e)
-        slope = np.polyfit(np.log(a_values), np.log(errs), 1)[0]
-        report["orders"][f"M={M}"] = {"errors": errs, "order": float(slope)}
-        ok &= slope >= M + 0.5
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    path = cfg.out / "taylor_check.json"
-    path.write_text(json.dumps(report, indent=2) + "\n")
-    write_manifest(cfg, [path])
-    print(json.dumps(report["orders"], indent=2))
-    return EXIT_OK if ok else EXIT_FAIL
+    outer = checks.cubic_outer(7, 2 * cfg.n + 1)
+    fits = {M: checks.taylor_order(outer, M, params, table) for M in (0, 1, 2)}
+    orders = {f"M={M}": {"errors": errs, "order": order} for M, (errs, order) in fits.items()}
+    report = {"a_values": list(checks.TAYLOR_SHIFTS), "orders": orders}
+    path = _write_json(cfg, "taylor_check.json", report)
+    print(json.dumps(orders, indent=2))
+    return [path], all(order >= M + 0.5 for M, (_, order) in fits.items())
 
 
 def _solve_one(cfg: RunConfig, params, table, x2: float):
@@ -251,24 +237,29 @@ def _solve_one(cfg: RunConfig, params, table, x2: float):
     return sp, sol, problem
 
 
+def _slice_report(sp, sol, problem) -> dict:
+    report = compare_slice(sol, sp).to_dict()
+    report["residual_inf"] = ode_residual(sol, problem)
+    return report
+
+
+def _tag(x2: float) -> str:
+    return ("%g" % x2).replace(".", "p")
+
+
 def _write_slice(cfg: RunConfig, sp, sol, problem) -> list[Path]:
     x2 = sp.x2_tilde
-    tag = ("%g" % x2).replace(".", "p")
     x1 = x1_of_z(sol.nodes, x2, sp.params, sp.table)
-    csv_path = cfg.out / f"slice_{tag}.csv"
+    csv_path = cfg.out / f"slice_{_tag(x2)}.csv"
     export_solution_csv(
         sol, csv_path, extra_cols={"u_analytic_restriction": analytic_solution(x1, x2)}
     )
-    report = compare_slice(sol, sp).to_dict()
-    report["residual_inf"] = ode_residual(sol, problem)
+    report = _slice_report(sp, sol, problem)
     report["residual_history"] = sol.residual_history
-    json_path = cfg.out / f"slice_{tag}.json"
-    json_path.write_text(json.dumps(report, indent=2) + "\n")
-    return [csv_path, json_path]
+    return [csv_path, _write_json(cfg, f"slice_{_tag(x2)}.json", report)]
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    cfg.out.mkdir(parents=True, exist_ok=True)
+def cmd_solve(cfg: RunConfig, args: argparse.Namespace) -> CommandResult:
     params, table = _params_and_table(cfg, cfg.k[0])
     artifacts = []
     all_converged = True
@@ -278,12 +269,10 @@ def cmd_solve(cfg: RunConfig) -> int:
         all_converged &= sol.converged
         if not sol.converged:
             print(f"slice x2={x2}: Newton did not converge", file=sys.stderr)
-    write_manifest(cfg, artifacts)
-    return EXIT_OK if all_converged else EXIT_FAIL
+    return artifacts, all_converged
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    cfg.out.mkdir(parents=True, exist_ok=True)
+def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> CommandResult:
     params, table = _params_and_table(cfg, cfg.k[0])
     rows = np.linspace(0.0, 1.0, cfg.x2_grid)
     results = {}
@@ -310,185 +299,77 @@ def cmd_sweep(cfg: RunConfig) -> int:
     field = reconstruct_field(solutions, np.linspace(0.0, 1.0, cfg.x2_grid), rows)
     field_path = cfg.out / "field.csv"
     export_field_csv(field, field_path)
-    artifacts.append(field_path)
-    write_manifest(cfg, artifacts)
-    return EXIT_OK if all_converged else EXIT_FAIL
+    return artifacts + [field_path], all_converged
 
 
-def cmd_compare(cfg: RunConfig) -> int:
-    cfg.out.mkdir(parents=True, exist_ok=True)
+def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> CommandResult:
     params, table = _params_and_table(cfg, cfg.k[0])
     artifacts = []
-    status = EXIT_OK
+    all_converged = True
     for x2 in cfg.x2:
         sp, sol, problem = _solve_one(cfg, params, table, x2)
-        report = compare_slice(sol, sp).to_dict()
-        report["residual_inf"] = ode_residual(sol, problem)
-        tag = ("%g" % x2).replace(".", "p")
-        path = cfg.out / f"compare_{tag}.json"
-        path.write_text(json.dumps(report, indent=2) + "\n")
-        artifacts.append(path)
+        report = _slice_report(sp, sol, problem)
+        artifacts.append(_write_json(cfg, f"compare_{_tag(x2)}.json", report))
         print(json.dumps(report, indent=2))
-        if not sol.converged:
-            status = EXIT_FAIL
-    write_manifest(cfg, artifacts)
-    return status
+        all_converged &= sol.converged
+    return artifacts, all_converged
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    """Run the invariant suites of all modules; hard failures set exit 1."""
-    checks = {}
+def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> CommandResult:
+    """Run the invariant oracles of kstpde.checks; a failed check sets exit 1.
 
-    def record(name, passed, info=None):
-        checks[name] = {"pass": bool(passed)}
-        if info is not None:
-            checks[name]["info"] = info
-
-    # constants
-    params = compute_constants(cfg.n, cfg.gamma, cfg.terms, k=1)
-    record(
-        "constants_a_exact",
-        params.a == Fraction(1, cfg.gamma * (cfg.gamma - 1)),
-        info={"a": f"{params.a.numerator}/{params.a.denominator}"},
-    )
-    alpha_strs = [FMT % a for a in params.alpha_float]
-    record(
-        "constants_alpha_decreasing",
-        all(
-            0 < params.alpha[p] < params.alpha[p - 1]
-            for p in range(1, len(params.alpha))
-        )
-        and params.alpha[0] == 1,
-        info={"alpha": alpha_strs},
-    )
-
-    # psi monotonicity / nesting / range
-    prev_table = None
-    mono_ok = nest_ok = range_ok = True
-    for k in range(1, 5):
-        p_k = compute_constants(cfg.n, cfg.gamma, cfg.terms, k=k)
-        table = build_psi(p_k)  # raises MonotonicityError on violation
-        vals = table.exact_values
-        mono_ok &= all(vals[i] < vals[i + 1] for i in range(len(vals) - 1))
-        range_ok &= vals[0] == 0 and all(0 <= v <= 1 for v in vals)
-        if prev_table is not None:
-            nest_ok &= all(
-                prev_table.exact_values[m] == vals[m * cfg.gamma]
-                for m in range(len(prev_table.grid.points))
-            )
-        prev_table = table
-    record("psi_monotone_k1_to_k4", mono_ok)
-    record("psi_nesting_consistent", nest_ok)
-    record("psi_range_unit_interval", range_ok)
-
-    # partition completeness + Bell numbers
-    complete = True
-    for m in range(7):
-        for k in range(m + 1):
-            got = {mi.j for mi in combinatorics.enumerate_partitions(m, k)}
-            import itertools
-
-            want = {
-                j
-                for j in itertools.product(range(k + 1), repeat=m - k + 1)
-                if sum(j) == k and sum(i * ji for i, ji in enumerate(j, 1)) == m
-            }
-            complete &= got == want
-    record("partition_enumeration_complete_m6", complete)
-    bell_numbers = [
-        sum(
-            combinatorics.bell_polynomial(m, k, [1.0] * (m + 1))
-            for k in range(m + 1)
-        )
-        for m in range(6)
-    ]
-    record(
-        "bell_numbers_b4_b5",
-        abs(bell_numbers[4] - 15) < 1e-9 and abs(bell_numbers[5] - 52) < 1e-9,
-        info={"B_0..B_5": bell_numbers},
-    )
-
-    # Faa di Bruno vs finite differences of exp(sin(x))
-    fd_ok = True
-    hstep = 1e-2
-    for x0 in (0.1, 0.4, 0.8):
-        g = math.sin(x0)
-        f_jet = combinatorics.DerivativeJet(tuple(math.exp(g) for _ in range(3)))
-        g_jet = combinatorics.DerivativeJet((math.cos(x0), -math.sin(x0)))
-        got = combinatorics.faa_di_bruno(2, f_jet, g_jet)
-        fn = lambda t: math.exp(math.sin(t))
-        ref = (fn(x0 + hstep) - 2 * fn(x0) + fn(x0 - hstep)) / hstep**2
-        fd_ok &= abs(got - ref) <= 1e-3 * max(1.0, abs(ref))
-    record("faa_di_bruno_fd_oracle", fd_ok)
-
-    # homogeneity of the Bell scaling identity
-    rng = np.random.default_rng(11)
-    homog = True
-    for _ in range(50):
-        m = int(rng.integers(1, 7))
-        k = int(rng.integers(1, m + 1))
-        q = float(rng.uniform(0.1, 10.0))
-        args = rng.uniform(-2.0, 2.0, size=m - k + 1)
-        scaled = [q ** (i + 1) * a for i, a in enumerate(args)]
-        lhs = combinatorics.bell_polynomial(m, k, scaled)
-        rhs = q**m * combinatorics.bell_polynomial(m, k, list(args))
-        homog &= abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
-    record("bell_homogeneity", homog)
-
-    # change-of-variables quadrature identity at k=1
-    from scipy.integrate import fixed_quad
-
-    table1 = build_psi(params)
-    x2t = 0.37
-    z_min, z_max = reduction.slice_bounds(x2t, params, table1)
-    quad_ok = True
-    for coeffs in ([0, 0, 0, 1], [1.0, -2.0, 3.0, 0.5]):
-        poly = np.polynomial.Polynomial(coeffs)
-        direct = float((poly.integ()(1.0) - poly.integ()(0.0)))
-
-        def integrand(z):
-            return poly(x1_of_z(z, x2t, params, table1)) * jacobian_factor(
-                z, x2t, params, table1
-            )
-
-        transferred = float(fixed_quad(integrand, z_min, z_max, n=40)[0])
-        quad_ok &= abs(direct - transferred) <= 1e-10
-    record("change_of_variables_quadrature", quad_ok)
-
-    # variational sign finding (informational) + Laplacian residual (hard)
+    The sign finding and the coincidence ratio are measured findings: they
+    always pass and only report.
+    """
+    params, table = _params_and_table(cfg, 1)
+    a_ok, alpha_ok = checks.constants(params)
+    monotone, nested, in_range = checks.psi_invariants(cfg.n, cfg.gamma, cfg.terms)
+    bell_ok, bell = checks.bell_numbers(8)
     field = Field2D.from_function(analytic_solution, 101, 101)
-    finding = variational.find_sign_convention(field, n_directions=5, seed=3)
-    record("variational_sign_finding", True, info=finding.to_dict())
-    pts = np.random.default_rng(5).uniform(0.05, 0.95, size=(40, 2))
-    res_plus, res_minus = variational.laplacian_residual(
-        analytic_solution, reduction.default_source, pts
-    )
-    record(
-        "analytic_laplacian_residual",
-        bool(np.all(np.minimum(res_plus, res_minus) <= 1e-5)),
-        info={"max_residual_vs_plus_f": float(res_plus.max())},
-    )
-
-    # coincidence ratio (informational)
-    table_k = build_psi(params)
-    sp = SliceProblem(x2_tilde=0.5, params=params, table=table_k)
+    lap_ok, lap_max = checks.analytic_laplacian_residual(seed=5)
+    sp = SliceProblem(x2_tilde=0.5, params=params, table=table)
     sol, _ = solve_slice(sp, n_nodes=501, tol=cfg.tol)
-    report = compare_slice(sol, sp)
-    record(
-        "slice_coincidence_ratio",
-        True,
-        info={"amplitude_ratio": report.amplitude_ratio},
-    )
+    results = {
+        "constants_a_exact": (a_ok, {"a": f"{params.a.numerator}/{params.a.denominator}"}),
+        "constants_alpha_decreasing": (alpha_ok, {"alpha": [FMT % a for a in params.alpha_float]}),
+        "psi_monotone_k1_to_k4": (monotone, None),
+        "psi_nesting_consistent": (nested, None),
+        "psi_range_unit_interval": (in_range, None),
+        "partition_enumeration_complete_m6": (checks.partitions_complete(range(9)), None),
+        "bell_numbers_b4_b5": (bell_ok, {"B_0..B_8": bell}),
+        "faa_di_bruno_fd_oracle": (checks.faa_di_bruno_fd_oracle(4), None),
+        "bell_homogeneity": (checks.bell_homogeneity(), None),
+        "change_of_variables_quadrature": (checks.quadrature_transfer(params, table), None),
+        "variational_sign_finding": (
+            True,
+            variational.find_sign_convention(field, n_directions=5, seed=3).to_dict(),
+        ),
+        "analytic_laplacian_residual": (lap_ok, {"max_residual_vs_plus_f": lap_max}),
+        "slice_coincidence_ratio": (
+            True,
+            {"amplitude_ratio": compare_slice(sol, sp).amplitude_ratio},
+        ),
+    }
+    report = {
+        name: {"pass": bool(ok)} if info is None else {"pass": bool(ok), "info": info}
+        for name, (ok, info) in results.items()
+    }
+    for name, (ok, _) in results.items():
+        print(f"{'PASS' if ok else 'FAIL'} {name}")
+    return [_write_json(cfg, "verify.json", report)], all(ok for ok, _ in results.values())
 
-    hard = [name for name in checks if not name.startswith(("variational_sign", "slice_coincidence"))]
-    ok = all(checks[name]["pass"] for name in hard)
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    path = cfg.out / "verify.json"
-    path.write_text(json.dumps(checks, indent=2) + "\n")
-    write_manifest(cfg, [path])
-    for name, res in checks.items():
-        print(f"{'PASS' if res['pass'] else 'FAIL'} {name}")
-    return EXIT_OK if ok else EXIT_FAIL
+
+# name -> (help text, handler); build_parser and main both read this table
+COMMANDS = {
+    "psi": ("tabulate the inner function and its difference derivatives", cmd_psi),
+    "constants": ("compute the shift constant and alpha coefficients", cmd_constants),
+    "bell": ("emit the constrained-partition table", cmd_bell),
+    "taylor-check": ("truncation-order verification of the Taylor form", cmd_taylor_check),
+    "solve": ("solve reduced slice problems at fixed x2", cmd_solve),
+    "sweep": ("solve a grid of slices and reconstruct the 2-D field", cmd_sweep),
+    "compare": ("solve and compare a slice against its references", cmd_compare),
+    "verify": ("run the invariant oracles of kstpde.checks", cmd_verify),
+}
 
 
 # --------------------------------------------------------------------------
@@ -517,16 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
         "to one-dimensional boundary value problems.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("psi", "tabulate the inner function and its difference derivatives"),
-        ("constants", "compute the shift constant and alpha coefficients"),
-        ("bell", "emit the constrained-partition table"),
-        ("taylor-check", "truncation-order verification of the Taylor form"),
-        ("solve", "solve reduced slice problems at fixed x2"),
-        ("sweep", "solve a grid of slices and reconstruct the 2-D field"),
-        ("compare", "solve and compare a slice against its references"),
-        ("verify", "run the invariant suites of all modules"),
-    ]:
+    for name, (help_text, _) in COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
         _add_common(sub)
         if name == "bell":
@@ -539,27 +411,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
-        if args.command == "psi":
-            return cmd_psi(cfg)
-        if args.command == "constants":
-            return cmd_constants(cfg)
-        if args.command == "bell":
-            return cmd_bell(cfg, args.max_m)
-        if args.command == "taylor-check":
-            return cmd_taylor_check(cfg)
-        if args.command == "solve":
-            return cmd_solve(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        if args.command == "compare":
-            return cmd_compare(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        raise UsageError(f"unknown command {args.command}")
-    except UsageError as exc:
+        cfg.out.mkdir(parents=True, exist_ok=True)
+        _, handler = COMMANDS[args.command]
+        artifacts, ok = handler(cfg, args)
+        write_manifest(cfg, artifacts)
+        return EXIT_OK if ok else EXIT_FAIL
+    except NUMERICAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, TypeError) as exc:
+        return EXIT_FAIL
+    except (UsageError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

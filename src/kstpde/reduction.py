@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
+from scipy.integrate import cumulative_trapezoid, trapezoid
 
 from .bvp import BvpProblem, BvpSolution, newton_solve
 from .inner import (
@@ -29,7 +29,6 @@ from .inner import (
 __all__ = [
     "SliceProblem",
     "OdeCoefficients",
-    "BoundaryConditions",
     "Field2D",
     "SliceReport",
     "DegenerateBoundaryError",
@@ -108,16 +107,19 @@ def x1_of_z(z, x2_tilde: float, params: KstParams, table: PsiTable):
     return psi_inverse(table, y)
 
 
-def jacobian_factor(z, x2_tilde: float, params: KstParams, table: PsiTable):
-    """Change-of-variables factor dx1/dz = 1/(alpha_1 psi'(x1(z)))."""
-    a1 = params.alpha_float[0]
+def _x1_and_dpsi(z, x2_tilde: float, params: KstParams, table: PsiTable):
+    """x1(z) on the slice and psi'(x1), which the change of variables divides by."""
     x1 = x1_of_z(z, x2_tilde, params, table)
     dpsi = psi_derivative(table, 1, x1)
     if np.any(np.asarray(dpsi) == 0.0):
-        raise SingularJacobianError(
-            f"psi' vanishes at x1={x1} (z={z}, x2~={x2_tilde})"
-        )
-    return 1.0 / (a1 * dpsi)
+        raise SingularJacobianError(f"psi' vanishes at x1={x1} (z={z}, x2~={x2_tilde})")
+    return x1, dpsi
+
+
+def jacobian_factor(z, x2_tilde: float, params: KstParams, table: PsiTable):
+    """Change-of-variables factor dx1/dz = 1/(alpha_1 psi'(x1(z)))."""
+    _, dpsi = _x1_and_dpsi(z, x2_tilde, params, table)
+    return 1.0 / (params.alpha_float[0] * dpsi)
 
 
 @dataclass(frozen=True)
@@ -140,24 +142,17 @@ def ode_coefficients(slice_problem: SliceProblem) -> OdeCoefficients:
     p2_x2 = psi_derivative(table, 2, x2t)
     rhs = slice_problem.rhs
 
-    def _x1_data(z):
-        x1 = x1_of_z(z, x2t, params, table)
-        d1 = psi_derivative(table, 1, x1)
-        if np.any(np.asarray(d1) == 0.0):
-            raise SingularJacobianError(f"psi' vanishes at x1={x1} on slice x2~={x2t}")
-        return x1, d1
-
     def c2(z):
-        _, d1 = _x1_data(z)
+        _, d1 = _x1_and_dpsi(z, x2t, params, table)
         return (a1**2 * d1**2 + a2**2 * p1_x2**2) / (a1 * d1)
 
     def c1(z):
-        x1, d1 = _x1_data(z)
+        x1, d1 = _x1_and_dpsi(z, x2t, params, table)
         d2 = psi_derivative(table, 2, x1)
         return (a1**2 * d1**2 * d2 - a2**2 * p1_x2**2 * d2) / (a1**2 * d1**3)
 
     def c0(z):
-        x1, d1 = _x1_data(z)
+        x1, d1 = _x1_and_dpsi(z, x2t, params, table)
         d2 = psi_derivative(table, 2, x1)
         d3 = psi_derivative(table, 3, x1)
         p0 = psi_eval(table, x1)
@@ -165,7 +160,7 @@ def ode_coefficients(slice_problem: SliceProblem) -> OdeCoefficients:
         return num / (a1**3 * d1**5)
 
     def g(z):
-        x1, d1 = _x1_data(z)
+        x1, d1 = _x1_and_dpsi(z, x2t, params, table)
         return rhs(x1, x2t) / (a1 * d1)
 
     return OdeCoefficients(c2=c2, c1=c1, c0=c0, g=g)
@@ -186,25 +181,6 @@ def first_order_system(coeffs: OdeCoefficients) -> Callable:
     return rhs
 
 
-@dataclass(frozen=True)
-class BoundaryConditions:
-    """Endpoint conditions of a slice.
-
-    The printed endpoint brackets multiply U at z_min/z_max; when nonzero
-    they reduce to Dirichlet-zero conditions.  Bracket values are kept for
-    reporting.
-    """
-
-    bracket_left: float
-    bracket_right: float
-
-    def residual_left(self, U, W):
-        return U
-
-    def residual_right(self, U, W):
-        return U
-
-
 def _endpoint_bracket(x1_end: float, x2t: float, params: KstParams, table: PsiTable):
     a1, a2 = params.alpha_float[:2]
     d1 = psi_derivative(table, 1, x1_end)
@@ -218,8 +194,12 @@ def _endpoint_bracket(x1_end: float, x2t: float, params: KstParams, table: PsiTa
     )
 
 
-def boundary_conditions(slice_problem: SliceProblem) -> BoundaryConditions:
-    """Evaluate the endpoint brackets; nonzero brackets give U = 0 ends."""
+def boundary_conditions(slice_problem: SliceProblem) -> tuple[float, float]:
+    """The (left, right) endpoint brackets of a slice.
+
+    The printed brackets multiply U at z_min/z_max; when nonzero they
+    reduce to the Dirichlet-zero ends the BVP solver imposes.
+    """
     params, table = slice_problem.params, slice_problem.table
     x2t = slice_problem.x2_tilde
     left = float(_endpoint_bracket(0.0, x2t, params, table))
@@ -230,7 +210,7 @@ def boundary_conditions(slice_problem: SliceProblem) -> BoundaryConditions:
                 f"{name} endpoint bracket is {val:g}; the boundary condition "
                 "there is vacuous, not Dirichlet"
             )
-    return BoundaryConditions(bracket_left=left, bracket_right=right)
+    return left, right
 
 
 def solve_slice(
@@ -242,14 +222,9 @@ def solve_slice(
     """Build and solve the slice BVP; returns (solution, problem)."""
     z_min, z_max = slice_problem.bounds
     coeffs = ode_coefficients(slice_problem)
-    bc = boundary_conditions(slice_problem)
+    boundary_conditions(slice_problem)  # raises DegenerateBoundaryError on a vacuous end
     problem = BvpProblem(
-        z_min=z_min,
-        z_max=z_max,
-        rhs=first_order_system(coeffs),
-        bc_left=bc.residual_left,
-        bc_right=bc.residual_right,
-        n_nodes=n_nodes,
+        z_min=z_min, z_max=z_max, rhs=first_order_system(coeffs), n_nodes=n_nodes
     )
     return newton_solve(problem, tol=tol, max_iter=max_iter), problem
 
@@ -298,7 +273,7 @@ class SliceReport:
 
 
 def _l2(values: np.ndarray, z: np.ndarray) -> float:
-    return float(np.sqrt(np.trapezoid(values**2, z)))
+    return float(np.sqrt(trapezoid(values**2, z)))
 
 
 def compare_slice(solution: BvpSolution, slice_problem: SliceProblem) -> SliceReport:
@@ -308,7 +283,7 @@ def compare_slice(solution: BvpSolution, slice_problem: SliceProblem) -> SliceRe
     params, table = slice_problem.params, slice_problem.table
     x2t = slice_problem.x2_tilde
     z_min, z_max = slice_problem.bounds
-    bc = boundary_conditions(slice_problem)
+    bracket_left, bracket_right = boundary_conditions(slice_problem)
 
     u_closed = reduced_closed_form(slice_problem, z)
     x1 = x1_of_z(z, x2t, params, table)
@@ -326,8 +301,8 @@ def compare_slice(solution: BvpSolution, slice_problem: SliceProblem) -> SliceRe
         x2_tilde=x2t,
         z_min=z_min,
         z_max=z_max,
-        bracket_left=bc.bracket_left,
-        bracket_right=bc.bracket_right,
+        bracket_left=bracket_left,
+        bracket_right=bracket_right,
         iterations=solution.iterations,
         converged=solution.converged,
         linf_vs_closed_form=float(np.max(np.abs(diff_closed))),
@@ -354,13 +329,6 @@ class Field2D:
                 f"values shape {self.values.shape} does not match grid "
                 f"({len(self.x1)}, {len(self.x2)})"
             )
-
-    @property
-    def boundary_mask(self) -> np.ndarray:
-        mask = np.zeros_like(self.values, dtype=bool)
-        mask[0, :] = mask[-1, :] = True
-        mask[:, 0] = mask[:, -1] = True
-        return mask
 
     @classmethod
     def from_function(cls, fn, nx: int, ny: int) -> "Field2D":

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import trapezoid
 
 from .reduction import Field2D, default_source
 
@@ -59,7 +60,7 @@ def functional_value(field: Field2D, source_sign: float = -1.0) -> float:
         - 2.0 * _d2(u, h1, 0) * u
         - 2.0 * _d2(u, h2, 1) * u
     )
-    return float(np.trapezoid(np.trapezoid(integrand, dx=h2, axis=1), dx=h1))
+    return float(trapezoid(trapezoid(integrand, dx=h2, axis=1), dx=h1))
 
 
 def first_variation(
@@ -90,7 +91,7 @@ def direction_norm(direction: Field2D) -> float:
     h1 = direction.x1[1] - direction.x1[0]
     h2 = direction.x2[1] - direction.x2[0]
     return float(
-        np.sqrt(np.trapezoid(np.trapezoid(direction.values**2, dx=h2, axis=1), dx=h1))
+        np.sqrt(trapezoid(trapezoid(direction.values**2, dx=h2, axis=1), dx=h1))
     )
 
 

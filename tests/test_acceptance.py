@@ -8,32 +8,25 @@ any truncation of 4 or more terms (as required here) differs at the
 15th decimal (0.10100010000000099 vs 0.10100010000000001).
 """
 
-import itertools
-import math
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.integrate import fixed_quad
 
+from kstpde import checks
 from kstpde.bvp import ode_residual
-from kstpde.combinatorics import DerivativeJet, bell_polynomial, enumerate_partitions, faa_di_bruno
 from kstpde.inner import FMT, build_psi, compute_constants
 from kstpde.reduction import (
     Field2D,
     SliceProblem,
     analytic_solution,
     compare_slice,
-    default_source,
-    jacobian_factor,
     reduced_closed_form,
-    slice_bounds,
     solve_slice,
     x1_of_z,
 )
-from kstpde.taylor import OuterFunctionSet, TaylorConfig, shifted_exact_eval, taylor_kst_eval
-from kstpde.variational import find_sign_convention, laplacian_residual
+from kstpde.variational import find_sign_convention
 
 
 def report(number, label, passed):
@@ -63,122 +56,31 @@ class TestAcceptance:
 
     def test_02_psi_monotone_and_nested(self):
         start = time.perf_counter()
-        tables = {
-            k: build_psi(compute_constants(2, 10, 8, k=k)) for k in (1, 2, 3, 4)
-        }
-        mono = all(
-            all(v[i] < v[i + 1] for i in range(len(v) - 1))
-            for v in (t.exact_values for t in tables.values())
-        )
-        nested = all(
-            tables[k].exact_values[10 * m] == tables[k - 1].exact_values[m]
-            for k in (2, 3, 4)
-            for m in range(len(tables[k - 1].grid.points))
-        )
+        mono, nested, _ = checks.psi_invariants(2, 10, 8)
         elapsed = time.perf_counter() - start
         report(2, "psi strictly increasing and nested, k=1..4, < 5 s",
                mono and nested and elapsed < 5.0)
 
     def test_03_combinatorics_oracles(self):
         start = time.perf_counter()
-        enum_ok = True
-        for m in range(9):
-            for k in range(m + 1):
-                got = [mi.j for mi in enumerate_partitions(m, k)]
-                want = sorted(
-                    j
-                    for j in itertools.product(range(k + 1), repeat=m - k + 1)
-                    if sum(j) == k
-                    and sum(i * ji for i, ji in enumerate(j, 1)) == m
-                )
-                enum_ok &= got == want
-        bell_counts = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
-        bell_ok = all(
-            abs(
-                sum(bell_polynomial(m, k, [1.0] * (m + 1)) for k in range(m + 1))
-                - bell_counts[m]
-            )
-            < 1e-9
-            for m in range(9)
-        )
-
-        def fd(fn, x, order, h=1e-2):
-            half = (order + 3) // 2 + 1
-            offsets = list(range(-half, half + 1))
-            mat = np.array(
-                [[o**p / math.factorial(p) for o in offsets]
-                 for p in range(len(offsets))]
-            )
-            rhs = np.zeros(len(offsets))
-            rhs[order] = 1.0
-            w = np.linalg.solve(mat, rhs)
-            return sum(wi * fn(x + o * h) for wi, o in zip(w, offsets)) / h**order
-
-        fdb_ok = True
-        for m in range(1, 5):
-            for x in (0.1, 0.3, 0.5, 0.7, 0.9):
-                g = math.sin(x)
-                f_jet = DerivativeJet(tuple(math.exp(g) for _ in range(m + 1)))
-                sin_cycle = [math.cos(x), -math.sin(x), -math.cos(x), math.sin(x)]
-                g_jet = DerivativeJet(tuple(sin_cycle[i % 4] for i in range(m)))
-                got = faa_di_bruno(m, f_jet, g_jet)
-                ref = fd(lambda t: math.exp(math.sin(t)), x, m)
-                fdb_ok &= abs(got - ref) <= 1e-4 * abs(ref)
-            for x in (0.35, 0.6, 0.85, 1.1, 1.4):
-                y = 1.0 + x * x
-                f_vals = [math.log(y)] + [
-                    (-1.0) ** (j - 1) * math.factorial(j - 1) / y**j
-                    for j in range(1, m + 1)
-                ]
-                g_vals = ([2.0 * x, 2.0] + [0.0] * m)[:m]
-                got = faa_di_bruno(
-                    m, DerivativeJet(tuple(f_vals)), DerivativeJet(tuple(g_vals))
-                )
-                ref = fd(lambda t: math.log(1.0 + t * t), x, m)
-                fdb_ok &= abs(got - ref) <= 1e-4 * max(abs(ref), 1e-8)
+        enum_ok = checks.partitions_complete(range(9))
+        bell_ok, _ = checks.bell_numbers(8)
+        fdb_ok = checks.faa_di_bruno_fd_oracle(4)
         elapsed = time.perf_counter() - start
         report(3, "partition/Bell/composition oracles, < 10 s",
                enum_ok and bell_ok and fdb_ok and elapsed < 10.0)
 
     def test_04_homogeneity(self):
-        rng = np.random.default_rng(2024)
-        ok = True
-        for _ in range(100):
-            m = int(rng.integers(1, 7))
-            k = int(rng.integers(1, m + 1))
-            q = float(rng.uniform(0.1, 10.0))
-            args = list(rng.uniform(-3.0, 3.0, size=m - k + 1))
-            scaled = [q ** (i + 1) * a for i, a in enumerate(args)]
-            lhs = bell_polynomial(m, k, scaled)
-            rhs = q**m * bell_polynomial(m, k, args)
-            ok &= abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
-        report(4, "Bell scaling identity, 100 random cases, rel 1e-10", ok)
+        report(4, "Bell scaling identity, 100 random cases, rel 1e-10",
+               checks.bell_homogeneity())
 
     def test_05_taylor_order(self, setup_k1):
         params, table = setup_k1
         start = time.perf_counter()
-        rng = np.random.default_rng(13)
-        outer = OuterFunctionSet.from_polynomials(
-            [rng.standard_normal(4) for _ in range(5)]
+        outer = checks.cubic_outer(13, 5)
+        ok = all(
+            checks.taylor_order(outer, M, params, table)[1] >= M + 0.5 for M in (0, 1, 2)
         )
-        points = [(0.2, 0.3), (0.55, 0.7), (0.85, 0.15)]
-        a_values = [1e-2, 5e-3, 2.5e-3]
-        ok = True
-        for M in (0, 1, 2):
-            errs = [
-                max(
-                    abs(
-                        shifted_exact_eval(outer, x, a, table, params)
-                        - taylor_kst_eval(
-                            outer, x, TaylorConfig(M=M, a_override=a), table, params
-                        )
-                    )
-                    for x in points
-                )
-                for a in a_values
-            ]
-            slope = np.polyfit(np.log(a_values), np.log(errs), 1)[0]
-            ok &= slope >= M + 0.5
         elapsed = time.perf_counter() - start
         report(5, "truncation order >= M+0.5 for M in {0,1,2}, < 5 s",
                ok and elapsed < 5.0)
@@ -243,10 +145,7 @@ class TestAcceptance:
         print(f"  extremizing convention: {convention} "
               f"(printed ratio {finding.worst_ratio_printed:.3e}, "
               f"flipped ratio {finding.worst_ratio_flipped:.3e})")
-        rng = np.random.default_rng(9)
-        pts = rng.uniform(0.05, 0.95, size=(40, 2))
-        res_minus, res_plus = laplacian_residual(analytic_solution, default_source, pts)
-        lap_ok = bool(np.all(np.minimum(res_minus, res_plus) <= 1e-5))
+        lap_ok, _ = checks.analytic_laplacian_residual(seed=9)
         elapsed = time.perf_counter() - start
         report(
             9,
@@ -257,19 +156,5 @@ class TestAcceptance:
 
     def test_10_quadrature_transfer(self, setup_k1):
         params, table = setup_k1
-        x2 = 0.37
-        z_min, z_max = slice_bounds(x2, params, table)
-        ok = True
-        for coeffs in ([0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0],
-                       [1.0, -2.0, 0.5, 3.0]):
-            poly = np.polynomial.Polynomial(coeffs)
-            direct = poly.integ()(1.0) - poly.integ()(0.0)
-
-            def integrand(z):
-                return poly(x1_of_z(z, x2, params, table)) * jacobian_factor(
-                    z, x2, params, table
-                )
-
-            transferred = fixed_quad(integrand, z_min, z_max, n=40)[0]
-            ok &= abs(direct - transferred) <= 1e-10
-        report(10, "change-of-variables quadrature exact to 1e-10 for cubics", ok)
+        report(10, "change-of-variables quadrature exact to 1e-10 for cubics",
+               checks.quadrature_transfer(params, table))

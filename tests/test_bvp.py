@@ -6,22 +6,11 @@ import pytest
 from kstpde.bvp import BvpProblem, BvpSolution, newton_solve, ode_residual
 
 
-def dirichlet(U, W):
-    return U
-
-
 def make_problem(rhs_w, n_nodes, z_min=0.0, z_max=1.0):
     def rhs(z, U, W):
         return W, rhs_w(z, U, W)
 
-    return BvpProblem(
-        z_min=z_min,
-        z_max=z_max,
-        rhs=rhs,
-        bc_left=dirichlet,
-        bc_right=dirichlet,
-        n_nodes=n_nodes,
-    )
+    return BvpProblem(z_min=z_min, z_max=z_max, rhs=rhs, n_nodes=n_nodes)
 
 
 class TestNewtonSolve:

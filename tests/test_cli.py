@@ -109,6 +109,12 @@ class TestSolve:
     def test_tiny_mesh_is_usage_error(self, tmp_path):
         assert run(tmp_path, "solve", "--mesh", "2") == 2
 
+    def test_singular_newton_matrix_exits_1(self, tmp_path, capsys):
+        # the depth-4 coefficients make the Newton matrix singular; the
+        # typed failure is reported, not raised as a traceback
+        assert run(tmp_path, "solve", "--k", "4", "--x2", "0.5", "--mesh", "201") == 1
+        assert "singular Newton matrix" in capsys.readouterr().err
+
 
 class TestSweepCompareVerify:
     def test_sweep_field(self, tmp_path):

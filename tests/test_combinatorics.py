@@ -1,30 +1,18 @@
 """Partition enumeration, Bell polynomials, composition derivatives."""
 
-import itertools
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kstpde import checks
 from kstpde.combinatorics import (
     DerivativeJet,
     bell_polynomial,
     enumerate_partitions,
     faa_di_bruno,
 )
-
-
-def brute_force_partitions(m, k):
-    """Filter the full cartesian product.  Entries above k already violate
-    the block-count constraint, so range(k+1) loses nothing."""
-    length = m - k + 1
-    return sorted(
-        j
-        for j in itertools.product(range(k + 1), repeat=length)
-        if sum(j) == k and sum(i * ji for i, ji in enumerate(j, 1)) == m
-    )
 
 
 def count_set_partitions(m):
@@ -73,10 +61,9 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("m", range(9))
     def test_completeness_vs_brute_force(self, m):
-        for k in range(m + 1):
-            got = [mi.j for mi in enumerate_partitions(m, k)]
-            assert got == brute_force_partitions(m, k)
-            assert len(got) == len(set(got))
+        # the brute-force filter yields each tuple once, so equality also
+        # rules out duplicates
+        assert checks.partitions_complete([m])
 
     def test_constraints_hold_exactly(self):
         for m in range(9):
@@ -94,16 +81,11 @@ class TestBellPolynomial:
     def test_diagonal_is_power(self):
         assert bell_polynomial(4, 4, [2.0]) == pytest.approx(16.0)
 
-    def test_bell_number_row_sum(self):
-        total = sum(bell_polynomial(4, k, [1.0] * 5) for k in range(5))
-        assert total == pytest.approx(count_set_partitions(4))  # 15
-
-    @pytest.mark.parametrize("m,expected", [(0, 1), (1, 1), (2, 2), (3, 5), (4, 15),
-                                            (5, 52), (6, 203), (7, 877), (8, 4140)])
+    @pytest.mark.parametrize("m,expected", list(enumerate(checks.BELL_NUMBERS)))
     def test_bell_numbers_m0_to_m8(self, m, expected):
         assert count_set_partitions(m) == expected  # oracle sanity
-        total = sum(bell_polynomial(m, k, [1.0] * (m + 1)) for k in range(m + 1))
-        assert total == pytest.approx(expected)
+        _, values = checks.bell_numbers(m)
+        assert values[m] == pytest.approx(expected)
 
     def test_insufficient_args(self):
         with pytest.raises(ValueError):
@@ -124,44 +106,8 @@ class TestBellPolynomial:
                 max_size=m - k + 1,
             )
         )
-        scaled = [q ** (i + 1) * a for i, a in enumerate(args)]
-        lhs = bell_polynomial(m, k, scaled)
-        rhs = q**m * bell_polynomial(m, k, args)
+        lhs, rhs = checks.bell_scaling(m, k, q, args)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
-
-
-def fd_coefficients(offsets, order):
-    """Finite-difference weights via the Taylor-matrix solve."""
-    a = np.array([[o**p / math.factorial(p) for o in offsets]
-                  for p in range(len(offsets))])
-    b = np.zeros(len(offsets))
-    b[order] = 1.0
-    return np.linalg.solve(a, b)
-
-
-def central_fd(fn, x, order, h=1e-2):
-    """4th-order accurate central difference of the given derivative order."""
-    half = (order + 3) // 2 + 1
-    offsets = list(range(-half, half + 1))
-    w = fd_coefficients(offsets, order)
-    return sum(wi * fn(x + o * h) for wi, o in zip(w, offsets)) / h**order
-
-
-def exp_sin_jets(x, m):
-    g = math.sin(x)
-    f_jet = DerivativeJet(tuple(math.exp(g) for _ in range(m + 1)))
-    sin_derivs = [math.cos(x), -math.sin(x), -math.cos(x), math.sin(x)]
-    g_jet = DerivativeJet(tuple(sin_derivs[i % 4] for i in range(m)))
-    return f_jet, g_jet
-
-
-def log_poly_jets(x, m):
-    y = 1.0 + x * x
-    f_vals = [math.log(y)] + [
-        (-1.0) ** (k - 1) * math.factorial(k - 1) / y**k for k in range(1, m + 1)
-    ]
-    g_vals = [2.0 * x, 2.0] + [0.0] * max(0, m - 2)
-    return DerivativeJet(tuple(f_vals)), DerivativeJet(tuple(g_vals[:m]))
 
 
 class TestFaaDiBruno:
@@ -178,17 +124,15 @@ class TestFaaDiBruno:
         assert faa_di_bruno(2, f_jet, g_jet) == pytest.approx(2.0 * e, rel=1e-12)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
-    @pytest.mark.parametrize("x", [0.1, 0.3, 0.5, 0.7, 0.9])
+    @pytest.mark.parametrize("x", checks.FD_POINTS["exp_sin"])
     def test_exp_sin_matches_finite_differences(self, m, x):
-        got = faa_di_bruno(m, *exp_sin_jets(x, m))
-        ref = central_fd(lambda t: math.exp(math.sin(t)), x, m)
+        got, ref = checks.faa_di_bruno_vs_fd("exp_sin", m, x)
         assert got == pytest.approx(ref, rel=1e-4)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
-    @pytest.mark.parametrize("x", [0.35, 0.6, 0.85, 1.1, 1.4])
+    @pytest.mark.parametrize("x", checks.FD_POINTS["log_poly"])
     def test_log_poly_matches_finite_differences(self, m, x):
-        got = faa_di_bruno(m, *log_poly_jets(x, m))
-        ref = central_fd(lambda t: math.log(1.0 + t * t), x, m)
+        got, ref = checks.faa_di_bruno_vs_fd("log_poly", m, x)
         assert got == pytest.approx(ref, rel=1e-4, abs=1e-8)
 
     def test_jet_length_mismatch(self):

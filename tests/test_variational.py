@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 from kstpde.reduction import Field2D, analytic_solution, default_source
 from kstpde.variational import (
@@ -34,7 +35,7 @@ class TestFunctionalValue:
         X1, X2 = np.meshgrid(field.x1, field.x2, indexing="ij")
         f_u = default_source(X1, X2) * field.values
         h = field.x1[1] - field.x1[0]
-        expected = 4.0 * np.trapezoid(np.trapezoid(f_u, dx=h, axis=1), dx=h)
+        expected = 4.0 * trapezoid(trapezoid(f_u, dx=h, axis=1), dx=h)
         assert plus - minus == pytest.approx(expected, rel=1e-12)
 
 
