@@ -1,18 +1,26 @@
 """Two-point boundary value solver for first-order systems (U' = W, W' = rhs).
 
 Trapezoidal collocation on a uniform mesh, Newton-Raphson on the stacked
-residual with a forward-difference Jacobian.  The Jacobian is assembled
-with three-colour perturbations per component, which is exact for the
-two-node coupling stencil of the trapezoidal scheme.
+residual.  A residual row couples nodes i and i+1 only, so the Newton
+matrix is sparse with 8N - 4 entries for N nodes:
+
+- the Jacobian comes from forward differences with three colours per
+  component (nodes three apart share one perturbation), which is exact
+  for the two-node stencil, and is assembled straight into CSC format;
+- each Newton step factors it with SuperLU (``scipy.sparse.linalg.splu``),
+  so one iteration costs O(N);
+- a pivot diagnostic on the sparse factor raises ``SingularMatrixError``
+  on an exactly zero or vanishingly small pivot.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.sparse import csc_array
+from scipy.sparse.linalg import splu
 
 __all__ = [
     "BvpProblem",
@@ -21,19 +29,26 @@ __all__ = [
     "newton_solve",
     "ode_residual",
     "export_solution_csv",
+    "write_csv",
 ]
 
 JAC_STEP = 1e-7  # forward-difference step factor, scaled by 1 + |state|
+CSV_BLOCK_ROWS = 1024  # rows formatted per write by write_csv
 
 
 class SingularMatrixError(RuntimeError):
-    """Newton matrix is numerically singular."""
+    """Newton matrix is numerically singular.
 
-    def __init__(self, pivot_index: int, pivot_value: float):
+    ``pivot_index`` is None when the factorization stopped at an exactly
+    zero pivot without reporting where.
+    """
+
+    def __init__(self, pivot_index: Optional[int], pivot_value: float):
         self.pivot_index = pivot_index
         self.pivot_value = pivot_value
+        where = "a pivot" if pivot_index is None else f"pivot {pivot_index}"
         super().__init__(
-            f"singular Newton matrix: pivot {pivot_index} has magnitude {pivot_value:g}"
+            f"singular Newton matrix: {where} has magnitude {pivot_value:g}"
         )
 
 
@@ -87,47 +102,56 @@ def _residual(problem: BvpProblem, z: np.ndarray, state: np.ndarray) -> np.ndarr
 
 
 def _fd_jacobian(problem: BvpProblem, z: np.ndarray, state: np.ndarray,
-                 r0: np.ndarray) -> np.ndarray:
-    """Dense Jacobian by coloured forward differences.
+                 r0: np.ndarray) -> csc_array:
+    """Sparse Jacobian by coloured forward differences, in CSC format.
 
     A residual row touches nodes i and i+1 only, so nodes three apart can
-    be perturbed simultaneously without overlap.
+    be perturbed simultaneously without overlap: six residual evaluations
+    give every entry.  Entry (row, col) is dr[row] / eps[col], with dr from
+    the colour that perturbed the node of col.
     """
     n = problem.n_nodes
-    jac = np.zeros((2 * n, 2 * n))
+    eps = JAC_STEP * (1.0 + np.abs(state))
+    dr = np.empty((2, 3, 2 * n))
     for comp in range(2):
         for colour in range(3):
-            nodes_pert = np.arange(colour, n, 3)
-            cols = nodes_pert + comp * n
-            eps = JAC_STEP * (1.0 + np.abs(state[cols]))
+            cols = np.arange(colour, n, 3) + comp * n
             pert = state.copy()
-            pert[cols] += eps
-            dr = _residual(problem, z, pert) - r0
-            for j, e in zip(nodes_pert, eps):
-                rows = []
-                if j == 0:
-                    rows.append(0)
-                if j == n - 1:
-                    rows.append(2 * n - 1)
-                for interval in (j - 1, j):
-                    if 0 <= interval < n - 1:
-                        rows.append(1 + interval)
-                        rows.append(n + interval)
-                col = j + comp * n
-                for row in rows:
-                    jac[row, col] = dr[row] / e
-    return jac
+            pert[cols] += eps[cols]
+            dr[comp, colour] = _residual(problem, z, pert) - r0
+    # (row, node) pairs of the stencil: interval i's U and W rows touch
+    # nodes i and i+1; the two boundary rows touch their end node
+    i = np.arange(n - 1)
+    node = np.concatenate([i, i + 1, i, i + 1, [0, n - 1]])
+    row = np.concatenate([1 + i, 1 + i, n + i, n + i, [0, 2 * n - 1]])
+    # every pair carries one entry per component
+    comp = np.repeat([0, 1], len(node))
+    node, row = np.tile(node, 2), np.tile(row, 2)
+    col = node + comp * n
+    values = dr[comp, node % 3, row] / eps[col]
+    return csc_array((values, (row, col)), shape=(2 * n, 2 * n))
 
 
-def _solve_linear(jac: np.ndarray, rhs_vec: np.ndarray) -> np.ndarray:
-    import scipy.linalg
+def _solve_linear(jac: csc_array, rhs_vec: np.ndarray) -> np.ndarray:
+    """Solve ``jac @ x = rhs_vec`` by sparse LU.
 
-    lu, piv = scipy.linalg.lu_factor(jac, check_finite=False)
-    diag = np.abs(np.diag(lu))
+    Raises SingularMatrixError when SuperLU meets an exactly zero pivot, or
+    when the smallest |U| diagonal entry of the factor falls below
+    1e3 * tiny * max(1, largest).  The reported pivot index counts in the
+    factor's row and column permuted order, not in the order of the
+    unknowns.
+    """
+    try:
+        lu = splu(jac)
+    except RuntimeError as exc:
+        if "singular" not in str(exc):
+            raise
+        raise SingularMatrixError(None, 0.0) from exc
+    diag = np.abs(lu.U.diagonal())
     worst = int(np.argmin(diag))
     if diag[worst] < 1e3 * np.finfo(float).tiny * max(1.0, diag.max()):
         raise SingularMatrixError(worst, float(diag[worst]))
-    return scipy.linalg.lu_solve((lu, piv), rhs_vec, check_finite=False)
+    return lu.solve(rhs_vec)
 
 
 def newton_solve(
@@ -200,8 +224,17 @@ def export_solution_csv(solution: BvpSolution, path, extra_cols=None) -> None:
         for name, col in extra_cols.items():
             header.append(name)
             columns.append(np.asarray(col))
+    write_csv(path, header, np.column_stack(columns))
+
+
+def write_csv(path, header: list[str], rows: np.ndarray) -> None:
+    """Write a header line and the float rows as %.17g with CRLF line ends,
+    the output of ``csv.writer`` on the formatted values."""
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in zip(*columns):
-            w.writerow(["%.17g" % v for v in row])
+        fh.write(",".join(header) + "\r\n")
+        # one formatting operation per block of rows: the temporary strings
+        # and float objects stay small however long the table is
+        for start in range(0, len(rows), CSV_BLOCK_ROWS):
+            block = rows[start : start + CSV_BLOCK_ROWS]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))

@@ -12,7 +12,6 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -63,7 +62,6 @@ DEFAULTS = {
     "x2": "0.5",
     "x2_grid": 21,
     "out": "out",
-    "jobs": 1,
     "format": "csv",
 }
 
@@ -79,7 +77,6 @@ class RunConfig:
     x2: list[float]
     x2_grid: int
     out: Path
-    jobs: int
     format: str
 
 
@@ -123,7 +120,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             x2=x2_list,
             x2_grid=int(merged["x2_grid"]),
             out=Path(merged["out"]),
-            jobs=int(merged["jobs"]),
             format=str(merged["format"]),
         )
     except ValueError as exc:
@@ -138,8 +134,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError(f"x2 values must lie in [0, 1], got {cfg.x2}")
     if cfg.mesh < 3:
         raise UsageError(f"mesh must have at least 3 nodes, got {cfg.mesh}")
-    if cfg.jobs < 1:
-        raise UsageError(f"jobs must be >= 1, got {cfg.jobs}")
     return cfg
 
 
@@ -275,24 +269,11 @@ def cmd_solve(cfg: RunConfig, args: argparse.Namespace) -> CommandResult:
 def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> CommandResult:
     params, table = _params_and_table(cfg, cfg.k[0])
     rows = np.linspace(0.0, 1.0, cfg.x2_grid)
-    results = {}
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            futures = {
-                pool.submit(_solve_one, cfg, params, table, float(x2)): float(x2)
-                for x2 in rows
-            }
-            for fut, x2 in futures.items():
-                results[x2] = fut.result()
-    else:
-        for x2 in rows:
-            results[float(x2)] = _solve_one(cfg, params, table, float(x2))
-
     artifacts = []
     all_converged = True
     solutions = {}
     for x2 in map(float, rows):
-        sp, sol, problem = results[x2]
+        sp, sol, problem = _solve_one(cfg, params, table, x2)
         artifacts += _write_slice(cfg, sp, sol, problem)
         solutions[x2] = (sol, sp)
         all_converged &= sol.converged
@@ -387,7 +368,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--mesh", type=int, help="BVP mesh node count")
     sub.add_argument("--tol", type=float, help="Newton residual tolerance")
     sub.add_argument("--out", help="output directory")
-    sub.add_argument("--jobs", type=int, help="sweep worker count")
     sub.add_argument("--format", choices=["csv", "json"])
 
 

@@ -37,9 +37,11 @@ FMT = "%.17g"  # fixed 17-significant-digit decimal formatting for exports
 
 
 class MonotonicityError(RuntimeError):
-    """The constructed psi table is not strictly increasing.
+    """The psi table is not strictly increasing.
 
-    This always signals an implementation bug, never a valid output.
+    From ``build_psi`` (exact values) this signals an implementation bug.
+    From ``SliceProblem`` it means the float64 view of a valid table has
+    lost strict monotonicity to rounding, so slices cannot invert psi.
     """
 
     def __init__(self, d_left, v_left, d_right, v_right):

@@ -9,7 +9,6 @@ with psi-dependent coefficients, Dirichlet-zero endpoint conditions
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -17,9 +16,10 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, trapezoid
 
-from .bvp import BvpProblem, BvpSolution, newton_solve
+from .bvp import BvpProblem, BvpSolution, newton_solve, write_csv
 from .inner import (
     KstParams,
+    MonotonicityError,
     PsiTable,
     psi_derivative,
     psi_eval,
@@ -80,6 +80,13 @@ class SliceProblem:
     def __post_init__(self):
         if not 0.0 <= self.x2_tilde <= 1.0:
             raise ValueError(f"x2_tilde must lie in [0, 1], got {self.x2_tilde}")
+        # psi_inverse interpolates over the float64 view of the table, which
+        # loses strict monotonicity once node increments drop below rounding
+        flat = np.flatnonzero(~(np.diff(self.table.values) > 0.0))
+        if flat.size:
+            i = int(flat[0])
+            nodes, values = self.table.nodes, self.table.values
+            raise MonotonicityError(nodes[i], values[i], nodes[i + 1], values[i + 1])
 
     @property
     def bounds(self) -> tuple[float, float]:
@@ -169,14 +176,24 @@ def ode_coefficients(slice_problem: SliceProblem) -> OdeCoefficients:
 def first_order_system(coeffs: OdeCoefficients) -> Callable:
     """Right-hand side (U' , W') of the equivalent first-order system.
 
-    W' = (g - c1 W - c0 U)/c2, exactly the slice ODE divided by c2.
+    W' = (g - c1 W - c0 U)/c2, exactly the slice ODE divided by c2.  The
+    coefficients depend on z only, so the callable evaluates them once per
+    mesh and reuses them while the same z values arrive again (Newton calls
+    it many times on one mesh).
     """
+    memo_z = None
+    memo = None
 
     def rhs(z, U, W):
-        c2 = np.asarray(coeffs.c2(z), dtype=float)
-        if np.any(c2 == 0.0):
-            raise SingularJacobianError("c2 vanishes on the mesh; system is singular")
-        return W, (coeffs.g(z) - coeffs.c1(z) * W - coeffs.c0(z) * U) / c2
+        nonlocal memo_z, memo
+        if memo_z is None or not np.array_equal(memo_z, z):
+            c2 = np.asarray(coeffs.c2(z), dtype=float)
+            if np.any(c2 == 0.0):
+                raise SingularJacobianError("c2 vanishes on the mesh; system is singular")
+            memo = (coeffs.g(z), coeffs.c1(z), coeffs.c0(z), c2)
+            memo_z = np.array(z, dtype=float)
+        g, c1, c0, c2 = memo
+        return W, (g - c1 * W - c0 * U) / c2
 
     return rhs
 
@@ -360,13 +377,11 @@ def reconstruct_field(
 
 def export_field_csv(field: Field2D, path) -> None:
     """Write x1,x2,u_numeric,u_analytic,abs_err rows in row-major order."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x1", "x2", "u_numeric", "u_analytic", "abs_err"])
-        for i, x1 in enumerate(field.x1):
-            for j, x2 in enumerate(field.x2):
-                u_num = field.values[i, j]
-                u_an = float(analytic_solution(x1, x2))
-                w.writerow(
-                    ["%.17g" % v for v in (x1, x2, u_num, u_an, abs(u_num - u_an))]
-                )
+    X1, X2 = np.meshgrid(field.x1, field.x2, indexing="ij")
+    u_an = analytic_solution(X1, X2)
+    columns = [X1, X2, field.values, u_an, np.abs(field.values - u_an)]
+    write_csv(
+        path,
+        ["x1", "x2", "u_numeric", "u_analytic", "abs_err"],
+        np.column_stack([c.ravel() for c in columns]),
+    )

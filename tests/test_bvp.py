@@ -1,9 +1,21 @@
 """Collocation solver on problems with known closed forms."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
-from kstpde.bvp import BvpProblem, BvpSolution, newton_solve, ode_residual
+from kstpde.bvp import (
+    JAC_STEP,
+    BvpProblem,
+    BvpSolution,
+    _fd_jacobian,
+    _residual,
+    export_solution_csv,
+    newton_solve,
+    ode_residual,
+)
 
 
 def make_problem(rhs_w, n_nodes, z_min=0.0, z_max=1.0):
@@ -42,6 +54,12 @@ class TestNewtonSolve:
         assert np.max(np.abs(second.U - first.U)) <= 1e-10 * (
             1.0 + np.max(np.abs(first.U))
         )
+
+    def test_linear_problem_at_1e5_nodes(self):
+        # the sparse Newton core keeps a 200,002-unknown slice to one step
+        problem = make_problem(lambda z, U, W: np.sin(3.0 * z) - 0.5 * U, 100_001)
+        sol = newton_solve(problem)
+        assert sol.converged and sol.iterations == 1
 
     def test_second_order_mesh_convergence(self):
         # U'' = -pi^2 sin(pi z): trapezoidal error should drop ~4x per halving
@@ -88,6 +106,67 @@ class TestNewtonSolve:
         sol = newton_solve(problem, tol=1e-10)
         assert sol.converged
         assert ode_residual(sol, problem) <= 1e-10
+
+
+class TestSparseJacobian:
+    def make_case(self, n=31):
+        problem = make_problem(lambda z, U, W: np.exp(U) - 1.0 + np.cos(z), n)
+        z = problem.nodes
+        state = np.random.default_rng(5).standard_normal(2 * n)
+        return problem, z, state, _residual(problem, z, state)
+
+    def test_matches_columnwise_forward_differences(self):
+        problem, z, state, r0 = self.make_case()
+        jac = _fd_jacobian(problem, z, state, r0).toarray()
+        ref = np.empty_like(jac)
+        for col in range(len(state)):
+            eps = JAC_STEP * (1.0 + abs(state[col]))
+            pert = state.copy()
+            pert[col] += eps
+            ref[:, col] = (_residual(problem, z, pert) - r0) / eps
+        assert np.max(np.abs(jac - ref)) <= 1e-6 * np.max(np.abs(ref))
+
+    def test_entries_stay_in_two_node_stencil(self):
+        problem, z, state, r0 = self.make_case()
+        n = problem.n_nodes
+        coo = _fd_jacobian(problem, z, state, r0).tocoo()
+        node = coo.col % n
+        # boundary rows see their end node; interval rows i and n+i-1 see
+        # nodes i-1 and i
+        interval = np.where(coo.row < n, coo.row - 1, coo.row - n)
+        in_stencil = np.where(
+            coo.row == 0,
+            node == 0,
+            np.where(
+                coo.row == 2 * n - 1,
+                node == n - 1,
+                (node == interval) | (node == interval + 1),
+            ),
+        )
+        assert in_stencil.all()
+        assert coo.nnz == 8 * n - 4
+
+
+class TestExport:
+    def test_matches_rowwise_csv_writer(self, tmp_path):
+        # reference: one csv.writer row per node; 2500 rows span several
+        # write blocks and the values span the float64 exponent range
+        rng = np.random.default_rng(3)
+        n = 2500
+        sol = BvpSolution(
+            nodes=np.linspace(0.0, 1.0, n),
+            U=rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+            W=rng.standard_normal(n),
+            iterations=1,
+        )
+        extra = rng.standard_normal(n)
+        export_solution_csv(sol, tmp_path / "sol.csv", extra_cols={"extra": extra})
+        ref = io.StringIO(newline="")
+        w = csv.writer(ref)
+        w.writerow(["z", "U", "W", "extra"])
+        for row in zip(sol.nodes, sol.U, sol.W, extra):
+            w.writerow(["%.17g" % v for v in row])
+        assert (tmp_path / "sol.csv").read_bytes() == ref.getvalue().encode()
 
 
 class TestValidation:

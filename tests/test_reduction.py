@@ -1,17 +1,22 @@
 """Slice construction, change of variables, coefficients, field assembly."""
 
+import csv
+import dataclasses
+import io
 import math
 
 import numpy as np
 import pytest
 
 from kstpde import checks
-from kstpde.inner import psi_eval
+from kstpde.inner import MonotonicityError, psi_eval
 from kstpde.reduction import (
+    Field2D,
     SliceProblem,
     analytic_solution,
     boundary_conditions,
     compare_slice,
+    export_field_csv,
     first_order_system,
     jacobian_factor,
     ode_coefficients,
@@ -43,6 +48,17 @@ class TestSliceBounds:
     def test_rejects_out_of_domain(self, params_k1, table_k1):
         with pytest.raises(ValueError):
             slice_bounds(1.5, params_k1, table_k1)
+
+    def test_rejects_flat_float_table(self, params_k1, table_k1):
+        # a valid exact table whose float64 view has lost strict
+        # monotonicity, as at depth 5, cannot be inverted on a slice
+        values = table_k1.values.copy()
+        values[4] = values[3]
+        flat = dataclasses.replace(table_k1, values=values)
+        with pytest.raises(MonotonicityError) as exc:
+            SliceProblem(x2_tilde=0.5, params=params_k1, table=flat)
+        assert exc.value.nodes == (table_k1.nodes[3], table_k1.nodes[4])
+        assert exc.value.values == (values[3], values[4])
 
 
 class TestX1OfZ:
@@ -152,6 +168,25 @@ class TestFirstOrderSystem:
             assert abs(sum(terms) - coeffs.g(z)) <= 1e-12 * scale
 
 
+    def test_memo_follows_a_new_mesh(self, params_k4, table_k4):
+        # the callable keeps one mesh's coefficients; a second mesh of the
+        # same length must not reuse them
+        sp = SliceProblem(x2_tilde=0.35, params=params_k4, table=table_k4)
+        coeffs = ode_coefficients(sp)
+        rhs = first_order_system(coeffs)
+        z_min, z_max = sp.bounds
+        rng = np.random.default_rng(8)
+        u, w = rng.standard_normal((2, 101))
+        for z in (
+            np.linspace(z_min, z_max, 101),
+            np.linspace(z_min, 0.5 * (z_min + z_max), 101),
+            np.linspace(z_min, z_max, 101),
+        ):
+            du, dw = rhs(z, u, w)
+            fresh_du, fresh_dw = first_order_system(coeffs)(z, u, w)
+            assert np.array_equal(du, fresh_du) and np.array_equal(dw, fresh_dw)
+
+
 class TestBoundaryConditions:
     def test_identity_table_brackets(self, params_k1, table_k1):
         a1, a2 = params_k1.alpha_float
@@ -230,6 +265,22 @@ class TestCompareAndReconstruct:
     def test_missing_row_rejected(self, params_k1, table_k1):
         with pytest.raises(KeyError):
             reconstruct_field({}, np.linspace(0, 1, 3), np.array([0.5]))
+
+    def test_field_csv_matches_cellwise_writer(self, tmp_path):
+        # reference: one csv.writer row and one scalar analytic_solution
+        # call per cell; 37 x 41 cells span more than one write block
+        x1, x2 = np.linspace(0.0, 1.0, 37), np.linspace(0.0, 1.0, 41)
+        values = np.random.default_rng(4).standard_normal((37, 41)) * 1e-3
+        export_field_csv(Field2D(x1=x1, x2=x2, values=values), tmp_path / "field.csv")
+        ref = io.StringIO(newline="")
+        w = csv.writer(ref)
+        w.writerow(["x1", "x2", "u_numeric", "u_analytic", "abs_err"])
+        for i, a in enumerate(x1):
+            for j, b in enumerate(x2):
+                u_an = float(analytic_solution(a, b))
+                cells = (a, b, values[i, j], u_an, abs(values[i, j] - u_an))
+                w.writerow(["%.17g" % v for v in cells])
+        assert (tmp_path / "field.csv").read_bytes() == ref.getvalue().encode()
 
 
 class TestAmplitudeRatio:
