@@ -47,14 +47,14 @@ def psi_invariants(n: int, gamma: int, terms: int) -> tuple[bool, bool, bool]:
     tables = [build_psi(compute_constants(n, gamma, terms, k=k)) for k in range(1, 5)]
     monotone = nested = in_range = True
     for k, table in enumerate(tables):
-        vals = table.exact_values
-        increasing = all(map(operator.lt, vals, vals[1:]))
+        nums, q = table.numerators, table.denominator
+        increasing = all(map(operator.lt, nums, nums[1:]))
         monotone &= increasing
         # a strictly increasing table lies in [0, 1] exactly when its ends do
-        in_range &= increasing and vals[0] == 0 and vals[-1] <= 1
-        if k:
-            coarse = tables[k - 1].exact_values[:-1]  # without the appended psi(1)
-            nested &= vals[: len(coarse) * gamma : gamma] == coarse
+        in_range &= increasing and nums[0] == 0 and nums[-1] <= q
+        if k:  # cross-multiplied; the coarse table without its appended psi(1)
+            cq, coarse = tables[k - 1].denominator, tables[k - 1].numerators[:-1]
+            nested &= all(v * cq == c * q for v, c in zip(nums[::gamma], coarse))
     return monotone, nested, in_range
 
 

@@ -137,11 +137,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def write_manifest(cfg: RunConfig, artifacts: list[Path]) -> Path:
+def write_manifest(cfg: RunConfig, artifacts: list[Path], error: Exception | None = None) -> Path:
     checksums = {}
     for p in sorted(artifacts, key=str):
         checksums[p.name] = hashlib.sha256(p.read_bytes()).hexdigest()
     manifest = {"config": {**asdict(cfg), "out": str(cfg.out)}, "artifacts": checksums}
+    if error is not None:
+        manifest["error"] = {"type": type(error).__name__, "message": str(error)}
     path = cfg.out / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
@@ -398,6 +400,7 @@ def main(argv=None) -> int:
         return EXIT_OK if ok else EXIT_FAIL
     except NUMERICAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        write_manifest(cfg, [], error=exc)  # raised by a handler, so cfg.out exists
         return EXIT_FAIL
     except (UsageError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

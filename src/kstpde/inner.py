@@ -3,19 +3,20 @@
 The inner function is tabulated on the grid of terminating base-gamma
 rationals, extended periodically outside [0, 1], and differentiated by
 forward differences with step gamma**-k.  Grid points and the shift
-constant ``a`` are kept as exact rationals; psi node values are computed
-in exact rational arithmetic and cached as float64 for evaluation.
+constant ``a`` are exact rationals; psi node values are exact integers over
+one common denominator, viewed as float64 for evaluation.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+
+from .bvp import write_csv
 
 __all__ = [
     "KstParams",
@@ -53,11 +54,6 @@ class MonotonicityError(RuntimeError):
         )
 
 
-def _geom_sum(n: int, length: int) -> int:
-    """1 + n + n^2 + ... + n^(length-1), exact (equals (n^length-1)/(n-1))."""
-    return sum(n**j for j in range(length))
-
-
 @dataclass(frozen=True)
 class KstParams:
     """Global configuration of the superposition representation."""
@@ -88,7 +84,7 @@ class KstParams:
             if not (0 < self.alpha[p] < self.alpha[p - 1]):
                 raise ValueError("alpha coefficients must be positive and decreasing")
 
-    @property
+    @cached_property
     def alpha_float(self) -> tuple[float, ...]:
         return tuple(float(x) for x in self.alpha)
 
@@ -99,10 +95,13 @@ class GridD:
 
     gamma: int
     k: int
-    points: tuple[Fraction, ...]
 
     def __len__(self):
-        return len(self.points)
+        return self.gamma**self.k
+
+    @cached_property
+    def points(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(m, len(self)) for m in range(len(self)))
 
 
 def build_grid(gamma: int, k: int) -> GridD:
@@ -117,9 +116,7 @@ def build_grid(gamma: int, k: int) -> GridD:
         raise ValueError(f"gamma must be >= 2, got {gamma}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    denom = gamma**k
-    points = tuple(Fraction(m, denom) for m in range(denom))
-    return GridD(gamma=gamma, k=k, points=points)
+    return GridD(gamma=gamma, k=k)
 
 
 def compute_constants(
@@ -145,7 +142,7 @@ def compute_constants(
     for p in range(2, n + 1):
         s = Fraction(0)
         for r in range(1, series_terms + 1):
-            exponent = (p - 1) * _geom_sum(n, r)
+            exponent = (p - 1) * sum(n**j for j in range(r))  # (p-1)(1 + n + ... + n^(r-1))
             s += Fraction(1, gamma**exponent)
         alpha.append(s)
     return KstParams(
@@ -157,12 +154,13 @@ def compute_constants(
 class PsiTable:
     """psi tabulated on GridD, with the node at 1 appended (psi(1) = 1).
 
-    ``nodes``/``values`` are float64 views used for linear interpolation;
-    ``exact_values`` keeps the rational node values for cross-checks.
+    The exact node values are ``numerators[m] / denominator``;
+    ``nodes``/``values`` are float64 views used for linear interpolation.
     """
 
     grid: GridD
-    exact_values: tuple[Fraction, ...]
+    numerators: tuple[int, ...] = field(repr=False)
+    denominator: int
     nodes: np.ndarray = field(repr=False, compare=False)
     values: np.ndarray = field(repr=False, compare=False)
 
@@ -174,36 +172,40 @@ class PsiTable:
     def k(self) -> int:
         return self.grid.k
 
-    @property
+    @cached_property
+    def exact_values(self) -> tuple[Fraction, ...]:
+        """The rational node values, for exact cross-checks."""
+        return tuple(Fraction(v, self.denominator) for v in self.numerators)
+
+    @cached_property
     def delta(self) -> float:
-        """Differencing step, exactly gamma**-k."""
-        return float(Fraction(1, self.gamma**self.k))
+        """Differencing step, gamma**-k rounded once."""
+        return 1 / self.gamma**self.k
 
 
-def _psi_exact(gamma: int, n: int):
-    """Exact recursive evaluator for psi at m/gamma^level.
+def _psi_numerators(gamma: int, n: int, k: int) -> tuple[list[int], int]:
+    """psi at m/gamma^k, m = 0..gamma^k, as integers over Q_k (returned second).
 
-    Three branches: identity at level 1; for trailing digit i < gamma-1
-    the digit contributes gamma**-(1+n+...+n^(level-1)) times i on top of
-    the level-(level-1) value; for trailing digit gamma-1 the value is the
-    average of the left neighbour at the same level and the right
-    neighbour at the previous level (the Koeppen monotonicity fix).
+    Level l has denominator Q_l = 2^(l-1) gamma^(1+n+...+n^(l-1)); level 1
+    is the identity m/gamma.  Trailing digit i < gamma-1 adds
+    i gamma^-(1+n+...+n^(l-1)) = i 2^(l-1)/Q_l to the prefix's level-(l-1)
+    value; digit gamma-1 averages its left neighbour at level l and its
+    right neighbour at level l-1 (Koeppen's fix).  psi(1) = 1 is appended.
     """
-
-    @lru_cache(maxsize=None)
-    def rec(m: int, level: int) -> Fraction:
-        if m == gamma**level:
-            return Fraction(1)  # psi(1) = 1, consistent with the periodic extension
-        if level == 1:
-            return Fraction(m, gamma)
-        i_last = m % gamma
-        if i_last < gamma - 1:
-            return rec((m - i_last) // gamma, level - 1) + Fraction(
-                i_last, gamma ** _geom_sum(n, level)
-            )
-        return (rec(m - 1, level) + rec((m + 1) // gamma, level - 1)) / 2
-
-    return rec
+    nums, q = list(range(gamma + 1)), gamma
+    for level in range(2, k + 1):
+        scale = 2 * gamma ** (n ** (level - 1))  # Q_l / Q_(l-1)
+        digits = [i * 2 ** (level - 1) for i in range(gamma - 1)]
+        out = []
+        for prev, nxt in zip(nums, nums[1:]):
+            base = prev * scale
+            out += [base + d for d in digits]
+            total = out[-1] + nxt * scale
+            assert total % 2 == 0  # both terms are even, so the halving is exact
+            out.append(total // 2)
+        q *= scale
+        nums = out + [q]
+    return nums, q
 
 
 def build_psi(params: KstParams) -> PsiTable:
@@ -212,19 +214,16 @@ def build_psi(params: KstParams) -> PsiTable:
     Raises MonotonicityError if the produced values are not strictly
     increasing across the grid.
     """
-    gamma, k, n = params.gamma, params.k, params.n
-    grid = build_grid(gamma, k)
-    rec = _psi_exact(gamma, n)
-    exact = [rec(m, k) for m in range(gamma**k)]
-    exact.append(Fraction(1))
-    for i in range(len(exact) - 1):
-        if not exact[i] < exact[i + 1]:
-            d_left = grid.points[i]
-            d_right = grid.points[i + 1] if i + 1 < len(grid.points) else Fraction(1)
-            raise MonotonicityError(d_left, exact[i], d_right, exact[i + 1])
-    nodes = np.array([float(p) for p in grid.points] + [1.0])
-    values = np.array([float(v) for v in exact])
-    return PsiTable(grid=grid, exact_values=tuple(exact), nodes=nodes, values=values)
+    gamma, k = params.gamma, params.k
+    nums, q = _psi_numerators(gamma, params.n, k)
+    size = gamma**k
+    for i, (lo, hi) in enumerate(zip(nums, nums[1:])):
+        if not lo < hi:
+            raise MonotonicityError(
+                Fraction(i, size), Fraction(lo, q), Fraction(i + 1, size), Fraction(hi, q)
+            )
+    values = np.array([v / q for v in nums])  # int / int rounds correctly, as float(Fraction)
+    return PsiTable(build_grid(gamma, k), tuple(nums), q, np.arange(size + 1) / size, values)
 
 
 def psi_eval(table: PsiTable, x):
@@ -322,11 +321,7 @@ def z_map(params: KstParams, table: PsiTable, x: Sequence[float]):
 
 def export_psi_csv(table: PsiTable, path) -> None:
     """Write the node table as CSV with header d,psi."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["d", "psi"])
-        for d, v in zip(table.nodes, table.values):
-            w.writerow([FMT % d, FMT % v])
+    write_csv(path, ["d", "psi"], np.column_stack([table.nodes, table.values]))
 
 
 def export_derivs_csv(table: PsiTable, xs, path) -> None:
@@ -335,9 +330,5 @@ def export_derivs_csv(table: PsiTable, xs, path) -> None:
     p0 = psi_eval(table, xs)
     p1 = psi_derivative(table, 1, xs)
     p2 = psi_derivative(table, 2, xs)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "psi", "dpsi", "d2psi"])
-        for row in zip(np.atleast_1d(xs), np.atleast_1d(p0),
-                       np.atleast_1d(p1), np.atleast_1d(p2)):
-            w.writerow([FMT % v for v in row])
+    columns = [np.atleast_1d(c) for c in (xs, p0, p1, p2)]
+    write_csv(path, ["x", "psi", "dpsi", "d2psi"], np.column_stack(columns))

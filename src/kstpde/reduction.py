@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -91,6 +92,11 @@ class SliceProblem:
     @property
     def bounds(self) -> tuple[float, float]:
         return slice_bounds(self.x2_tilde, self.params, self.table)
+
+    @cached_property
+    def brackets(self) -> tuple[float, float]:
+        """boundary_conditions of this slice, computed once."""
+        return boundary_conditions(self)
 
 
 def slice_bounds(x2_tilde: float, params: KstParams, table: PsiTable):
@@ -239,7 +245,7 @@ def solve_slice(
     """Build and solve the slice BVP; returns (solution, problem)."""
     z_min, z_max = slice_problem.bounds
     coeffs = ode_coefficients(slice_problem)
-    boundary_conditions(slice_problem)  # raises DegenerateBoundaryError on a vacuous end
+    slice_problem.brackets  # raises DegenerateBoundaryError on a vacuous end
     problem = BvpProblem(
         z_min=z_min, z_max=z_max, rhs=first_order_system(coeffs), n_nodes=n_nodes
     )
@@ -300,7 +306,7 @@ def compare_slice(solution: BvpSolution, slice_problem: SliceProblem) -> SliceRe
     params, table = slice_problem.params, slice_problem.table
     x2t = slice_problem.x2_tilde
     z_min, z_max = slice_problem.bounds
-    bracket_left, bracket_right = boundary_conditions(slice_problem)
+    bracket_left, bracket_right = slice_problem.brackets
 
     u_closed = reduced_closed_form(slice_problem, z)
     x1 = x1_of_z(z, x2t, params, table)

@@ -116,6 +116,21 @@ class TestSolve:
         # LinAlgWarning precedes it
         assert run(tmp_path, "solve", "--k", "4", "--x2", "0.5", "--mesh", "201") == 1
         assert "singular Newton matrix" in capsys.readouterr().err
+        manifest = read_manifest(tmp_path)
+        assert manifest["config"]["k"] == [4]
+        assert manifest["artifacts"] == {}
+        assert manifest["error"]["type"] == "SingularMatrixError"
+        assert "singular Newton matrix" in manifest["error"]["message"]
+
+    def test_flat_float_table_exits_1_with_record(self, tmp_path, capsys):
+        # at depth 5 the float64 psi table has zero increments, so the
+        # slice rejects it; the failure is recorded in the manifest
+        assert run(tmp_path, "solve", "--k", "5", "--x2", "0.5", "--mesh", "101") == 1
+        assert "psi not strictly increasing" in capsys.readouterr().err
+        manifest = read_manifest(tmp_path)
+        assert manifest["config"]["k"] == [5]
+        assert manifest["error"]["type"] == "MonotonicityError"
+        assert "psi not strictly increasing" in manifest["error"]["message"]
 
 
 class TestSweepCompareVerify:

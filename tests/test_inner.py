@@ -1,5 +1,7 @@
 """Inner function: grid, constants, recursion, interpolation, inversion."""
 
+import csv
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -7,10 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kstpde import inner
 from kstpde.inner import (
+    MonotonicityError,
     build_grid,
     build_psi,
     compute_constants,
+    export_derivs_csv,
+    export_psi_csv,
     psi_derivative,
     psi_eval,
     psi_eval_exact,
@@ -18,6 +24,10 @@ from kstpde.inner import (
     psi_inverse_exact,
     z_map,
 )
+
+# sha256 of psi_k5.csv (gamma=10, n=2, 8 terms) as written by the
+# Fraction-recursion build with a csv.writer row loop
+PSI_K5_SHA256 = "0aa5104323e1ce3c63dca812a8cdd1a031271f75b8014b02ca751774570d6ce0"
 
 
 def koeppen_reference(m, level, gamma, n):
@@ -101,6 +111,12 @@ class TestConstants:
         with pytest.raises(ValueError):
             compute_constants(2, 10, series_terms=3)
 
+    def test_float_views_are_cached_and_exact(self, params_k4, table_k4):
+        assert params_k4.alpha_float == tuple(float(a) for a in params_k4.alpha)
+        assert params_k4.alpha_float is params_k4.alpha_float
+        assert table_k4.delta == float(Fraction(1, 10**4))
+        assert table_k4.delta is table_k4.delta
+
 
 class TestPsiTable:
     def test_k1_is_identity_at_nodes(self, table_k1):
@@ -117,6 +133,19 @@ class TestPsiTable:
     def test_k4_against_independent_evaluator(self, table_k4):
         for m in range(0, 10000, 37):  # stride keeps this cheap
             assert table_k4.exact_values[m] == koeppen_reference(m, 4, 10, 2)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_integer_table_at_every_node(self, k):
+        table = build_psi(compute_constants(2, 10, 8, k=k))
+        assert len(table.numerators) == 10**k + 1
+        for m, v in enumerate(table.numerators):
+            assert Fraction(v, table.denominator) == koeppen_reference(m, k, 10, 2)
+
+    def test_exact_values_are_the_numerators_over_q(self, table_k4):
+        assert table_k4.denominator == 2**3 * 10 ** (1 + 2 + 4 + 8)
+        assert len(table_k4.exact_values) == len(table_k4.numerators)
+        for v, num in zip(table_k4.exact_values, table_k4.numerators):
+            assert v == Fraction(num, table_k4.denominator)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_strictly_monotone(self, k):
@@ -135,6 +164,38 @@ class TestPsiTable:
         vals = table_k4.exact_values
         assert vals[0] == 0
         assert all(0 <= v <= 1 for v in vals)
+
+    def test_flat_pair_raises_with_exact_arguments(self, monkeypatch):
+        # a broken build (second and third node equal) is reported on the
+        # first offending pair, with nodes and values as Fractions
+        monkeypatch.setattr(inner, "_psi_numerators", lambda g, n, k: ([0, 3, 3, 9, 10], 10))
+        with pytest.raises(MonotonicityError) as exc:
+            build_psi(compute_constants(1, 4, 8, k=1))
+        assert exc.value.nodes == (Fraction(1, 4), Fraction(2, 4))
+        assert exc.value.values == (Fraction(3, 10), Fraction(3, 10))
+
+
+class TestExport:
+    def test_psi_k5_table_unchanged(self, tmp_path):
+        path = tmp_path / "psi_k5.csv"
+        export_psi_csv(build_psi(compute_constants(2, 10, 8, k=5)), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PSI_K5_SHA256
+
+    def test_derivs_match_rowwise_csv_writer(self, table_k4, tmp_path):
+        xs = np.linspace(0.0, 1.0 - table_k4.delta, 2001)
+        export_derivs_csv(table_k4, xs, tmp_path / "block.csv")
+        rows = zip(
+            xs,
+            psi_eval(table_k4, xs),
+            psi_derivative(table_k4, 1, xs),
+            psi_derivative(table_k4, 2, xs),
+        )
+        with open(tmp_path / "rows.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["x", "psi", "dpsi", "d2psi"])
+            for row in rows:
+                w.writerow(["%.17g" % v for v in row])
+        assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 class TestPsiEval:

@@ -8,9 +8,10 @@ import math
 import numpy as np
 import pytest
 
-from kstpde import checks
+from kstpde import checks, reduction
 from kstpde.inner import MonotonicityError, psi_eval
 from kstpde.reduction import (
+    DegenerateBoundaryError,
     Field2D,
     SliceProblem,
     analytic_solution,
@@ -201,6 +202,33 @@ class TestBoundaryConditions:
         left, right = boundary_conditions(sp)
         assert abs(left) > 1e-12
         assert abs(right) > 1e-12
+
+    def test_computed_once_per_slice(self, params_k1, table_k1, monkeypatch):
+        calls = []
+
+        def counting(sp):
+            calls.append(sp.x2_tilde)
+            return boundary_conditions(sp)
+
+        monkeypatch.setattr(reduction, "boundary_conditions", counting)
+        sp = SliceProblem(x2_tilde=0.5, params=params_k1, table=table_k1)
+        sol, _ = solve_slice(sp, n_nodes=101)
+        report = compare_slice(sol, sp)
+        assert calls == [0.5]
+        assert (report.bracket_left, report.bracket_right) == boundary_conditions(sp)
+
+    def test_degenerate_end_raises_before_the_solve(self, params_k1, table_k1, monkeypatch):
+        def degenerate(sp):
+            raise DegenerateBoundaryError("left endpoint bracket is 0")
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a slice with a vacuous end was solved")
+
+        monkeypatch.setattr(reduction, "boundary_conditions", degenerate)
+        monkeypatch.setattr(reduction, "newton_solve", no_solve)
+        sp = SliceProblem(x2_tilde=0.5, params=params_k1, table=table_k1)
+        with pytest.raises(DegenerateBoundaryError):
+            solve_slice(sp, n_nodes=101)
 
 
 class TestAnalyticSolution:
