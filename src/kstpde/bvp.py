@@ -1,21 +1,18 @@
-"""Two-point boundary value solver for first-order systems (U' = W, W' = rhs).
+"""Two-point boundary value solver for linear slice equations.
 
-Trapezoidal collocation on a uniform mesh, Newton-Raphson on the stacked
-residual.  A residual row couples nodes i and i+1 only, so the Newton
-matrix is sparse with 8N - 4 entries for N nodes:
-
-- the Jacobian comes from forward differences with three colours per
-  component (nodes three apart share one perturbation), which is exact
-  for the two-node stencil, and is assembled straight into CSC format;
-- each Newton step factors it with SuperLU (``scipy.sparse.linalg.splu``),
-  so one iteration costs O(N);
-- a pivot diagnostic on the sparse factor raises ``SingularMatrixError``
-  on an exactly zero or vanishingly small pivot.
+c2 U'' + c1 U' + c0 U = g with U = 0 at both ends, written as U' = W,
+W' = (g - c1 W - c0 U)/c2 and discretised by trapezoidal collocation on a
+uniform mesh.  The discrete system is linear, so one exact Newton step
+from zero solves it: the collocation matrix (8N - 6 entries for N nodes,
+since a row couples nodes i and i+1 only) is assembled from the
+coefficients into CSC format and factored once with SuperLU, whose pivots
+are checked for singularity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,12 +29,11 @@ __all__ = [
     "write_csv",
 ]
 
-JAC_STEP = 1e-7  # forward-difference step factor, scaled by 1 + |state|
 CSV_BLOCK_ROWS = 1024  # rows formatted per write by write_csv
 
 
 class SingularMatrixError(RuntimeError):
-    """Newton matrix is numerically singular.
+    """Collocation matrix is numerically singular.
 
     ``pivot_index`` is None when the factorization stopped at an exactly
     zero pivot without reporting where.
@@ -54,15 +50,12 @@ class SingularMatrixError(RuntimeError):
 
 @dataclass(frozen=True)
 class BvpProblem:
-    """First-order two-point BVP on [z_min, z_max] with N uniform nodes.
-
-    ``rhs(z, U, W)`` returns (U', W') and must accept numpy arrays.  Both
-    ends carry the Dirichlet-zero condition U = 0.
-    """
+    """Linear BVP c2 U'' + c1 U' + c0 U = g with U = 0 at both ends, on N
+    uniform nodes of [z_min, z_max]; ``coefficients(z)`` returns (g, c1, c0, c2)."""
 
     z_min: float
     z_max: float
-    rhs: Callable
+    coefficients: Callable
     n_nodes: int
 
     def __post_init__(self):
@@ -71,9 +64,15 @@ class BvpProblem:
         if not self.z_min < self.z_max:
             raise ValueError(f"need z_min < z_max, got [{self.z_min}, {self.z_max}]")
 
-    @property
+    @cached_property
     def nodes(self) -> np.ndarray:
         return np.linspace(self.z_min, self.z_max, self.n_nodes)
+
+    @cached_property
+    def mesh_coefficients(self) -> tuple[np.ndarray, ...]:
+        """``coefficients`` evaluated once, on the nodes, as arrays of length N."""
+        n, values = self.n_nodes, self.coefficients(self.nodes)
+        return tuple(np.broadcast_to(np.asarray(c, dtype=float), (n,)) for c in values)
 
 
 @dataclass
@@ -86,49 +85,38 @@ class BvpSolution:
     converged: bool = False
 
 
-def _residual(problem: BvpProblem, z: np.ndarray, state: np.ndarray) -> np.ndarray:
+def _residual(problem: BvpProblem, state: np.ndarray) -> np.ndarray:
+    """Trapezoid collocation residual of the stacked state (U, W)."""
     n = problem.n_nodes
+    z = problem.nodes
     h = z[1] - z[0]
+    g, c1, c0, c2 = problem.mesh_coefficients
     U, W = state[:n], state[n:]
-    fU, fW = problem.rhs(z, U, W)
-    fU = np.broadcast_to(np.asarray(fU, dtype=float), (n,))
-    fW = np.broadcast_to(np.asarray(fW, dtype=float), (n,))
+    dW = (g - c1 * W - c0 * U) / c2
     r = np.empty(2 * n)
     r[0] = U[0]
-    r[1:n] = U[1:] - U[:-1] - 0.5 * h * (fU[1:] + fU[:-1])
-    r[n : 2 * n - 1] = W[1:] - W[:-1] - 0.5 * h * (fW[1:] + fW[:-1])
+    r[1:n] = U[1:] - U[:-1] - 0.5 * h * (W[1:] + W[:-1])
+    r[n : 2 * n - 1] = W[1:] - W[:-1] - 0.5 * h * (dW[1:] + dW[:-1])
     r[2 * n - 1] = U[-1]
     return r
 
 
-def _fd_jacobian(problem: BvpProblem, z: np.ndarray, state: np.ndarray,
-                 r0: np.ndarray) -> csc_array:
-    """Sparse Jacobian by coloured forward differences, in CSC format.
-
-    A residual row touches nodes i and i+1 only, so nodes three apart can
-    be perturbed simultaneously without overlap: six residual evaluations
-    give every entry.  Entry (row, col) is dr[row] / eps[col], with dr from
-    the colour that perturbed the node of col.
-    """
+def _collocation_matrix(problem: BvpProblem) -> csc_array:
+    """The Jacobian of ``_residual``, exact and independent of the state."""
     n = problem.n_nodes
-    eps = JAC_STEP * (1.0 + np.abs(state))
-    dr = np.empty((2, 3, 2 * n))
-    for comp in range(2):
-        for colour in range(3):
-            cols = np.arange(colour, n, 3) + comp * n
-            pert = state.copy()
-            pert[cols] += eps[cols]
-            dr[comp, colour] = _residual(problem, z, pert) - r0
-    # (row, node) pairs of the stencil: interval i's U and W rows touch
-    # nodes i and i+1; the two boundary rows touch their end node
+    half = 0.5 * (problem.nodes[1] - problem.nodes[0])
+    _, c1, c0, c2 = problem.mesh_coefficients
+    a, b = half * c0 / c2, half * c1 / c2
     i = np.arange(n - 1)
-    node = np.concatenate([i, i + 1, i, i + 1, [0, n - 1]])
-    row = np.concatenate([1 + i, 1 + i, n + i, n + i, [0, 2 * n - 1]])
-    # every pair carries one entry per component
-    comp = np.repeat([0, 1], len(node))
-    node, row = np.tile(node, 2), np.tile(row, 2)
-    col = node + comp * n
-    values = dr[comp, node % 3, row] / eps[col]
+    ones = np.ones(n - 1)
+    # interval i's U row: -1, +1 on U_i, U_i+1 and -h/2, -h/2 on W_i, W_i+1;
+    # its W row: (h/2) c0/c2 on U_i, U_i+1 and -1 + (h/2) c1/c2,
+    # +1 + (h/2) c1/c2 on W_i, W_i+1; the boundary rows: 1 on their end U
+    row = np.concatenate([[0], np.tile(1 + i, 4), np.tile(n + i, 4), [2 * n - 1]])
+    cols = np.concatenate([i, i + 1, n + i, n + i + 1])  # U_i, U_i+1, W_i, W_i+1
+    col = np.concatenate([[0], cols, cols, [n - 1]])
+    values = np.concatenate([[1.0], -ones, ones, -half * ones, -half * ones,
+                             a[:-1], a[1:], b[:-1] - 1.0, b[1:] + 1.0, [1.0]])
     return csc_array((values, (row, col)), shape=(2 * n, 2 * n))
 
 
@@ -154,55 +142,29 @@ def _solve_linear(jac: csc_array, rhs_vec: np.ndarray) -> np.ndarray:
     return lu.solve(rhs_vec)
 
 
-def newton_solve(
-    problem: BvpProblem,
-    tol: float = 1e-10,
-    max_iter: int = 20,
-    initial_guess: Optional[np.ndarray] = None,
-) -> BvpSolution:
-    """Drive the collocation residual below tol in the infinity norm.
+def newton_solve(problem: BvpProblem, tol: float = 1e-10) -> BvpSolution:
+    """Solve the collocation system by one exact Newton step from zero.
 
-    Full Newton steps with a half-step fallback on residual increase.
-    Non-convergence is reported through ``converged=False``, not raised.
+    No step is taken (``iterations`` 0) when the zero state already meets
+    tol.  A residual left above tol is reported through ``converged=False``,
+    not raised.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    z = problem.nodes
     n = problem.n_nodes
-    state = np.zeros(2 * n) if initial_guess is None else np.asarray(
-        initial_guess, dtype=float
-    ).copy()
-    if state.shape != (2 * n,):
-        raise ValueError(f"initial guess must have shape ({2 * n},)")
-
-    history = []
-    r = _residual(problem, z, state)
-    rnorm = float(np.max(np.abs(r)))
-    history.append(rnorm)
-    iterations = 0
-    converged = rnorm <= tol
-    while not converged and iterations < max_iter:
-        jac = _fd_jacobian(problem, z, state, r)
-        step = _solve_linear(jac, -r)
-        scale = 1.0
-        for _ in range(30):
-            trial = state + scale * step
-            r_trial = _residual(problem, z, trial)
-            r_trial_norm = float(np.max(np.abs(r_trial)))
-            if r_trial_norm < rnorm or scale < 2**-29:
-                break
-            scale *= 0.5
-        state, r, rnorm = trial, r_trial, r_trial_norm
-        iterations += 1
-        history.append(rnorm)
-        converged = rnorm <= tol
+    state = np.zeros(2 * n)
+    r = _residual(problem, state)
+    history = [float(np.max(np.abs(r)))]
+    if history[0] > tol:
+        state = _solve_linear(_collocation_matrix(problem), -r)
+        history.append(float(np.max(np.abs(_residual(problem, state)))))
     return BvpSolution(
-        nodes=z,
+        nodes=problem.nodes,
         U=state[:n],
         W=state[n:],
-        iterations=iterations,
+        iterations=len(history) - 1,
         residual_history=history,
-        converged=converged,
+        converged=history[-1] <= tol,
     )
 
 
@@ -213,7 +175,7 @@ def ode_residual(solution: BvpSolution, problem: BvpProblem) -> float:
     ):
         raise ValueError("solution mesh does not match problem mesh")
     state = np.concatenate([solution.U, solution.W])
-    return float(np.max(np.abs(_residual(problem, problem.nodes, state))))
+    return float(np.max(np.abs(_residual(problem, state))))
 
 
 def export_solution_csv(solution: BvpSolution, path, extra_cols=None) -> None:

@@ -11,13 +11,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import platform
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy
 
-from . import checks, combinatorics, variational
+from . import __version__, checks, combinatorics, variational
 from .bvp import SingularMatrixError, export_solution_csv, ode_residual
 from .inner import (
     FMT,
@@ -141,7 +143,12 @@ def write_manifest(cfg: RunConfig, artifacts: list[Path], error: Exception | Non
     checksums = {}
     for p in sorted(artifacts, key=str):
         checksums[p.name] = hashlib.sha256(p.read_bytes()).hexdigest()
-    manifest = {"config": {**asdict(cfg), "out": str(cfg.out)}, "artifacts": checksums}
+    manifest = {
+        "config": {**asdict(cfg), "out": str(cfg.out)},
+        "artifacts": checksums,
+        "versions": {"python": platform.python_version(), "numpy": np.__version__,
+                     "scipy": scipy.__version__, "kstpde": __version__},
+    }
     if error is not None:
         manifest["error"] = {"type": type(error).__name__, "message": str(error)}
     path = cfg.out / "manifest.json"
@@ -264,7 +271,9 @@ def cmd_solve(cfg: RunConfig, args: argparse.Namespace) -> CommandResult:
         artifacts += _write_slice(cfg, sp, sol, problem)
         all_converged &= sol.converged
         if not sol.converged:
-            print(f"slice x2={x2}: Newton did not converge", file=sys.stderr)
+            residual = sol.residual_history[-1]
+            msg = f"slice x2={x2}: residual {residual:.3g} above tol {cfg.tol:g}"
+            print(msg, file=sys.stderr)
     return artifacts, all_converged
 
 
@@ -368,7 +377,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--x2", help="comma-separated fixed x2 values")
     sub.add_argument("--x2-grid", dest="x2_grid", type=int, help="sweep row count")
     sub.add_argument("--mesh", type=int, help="BVP mesh node count")
-    sub.add_argument("--tol", type=float, help="Newton residual tolerance")
+    sub.add_argument("--tol", type=float, help="collocation residual tolerance")
     sub.add_argument("--out", help="output directory")
     sub.add_argument("--format", choices=["csv", "json"])
 

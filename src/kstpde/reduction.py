@@ -180,28 +180,16 @@ def ode_coefficients(slice_problem: SliceProblem) -> OdeCoefficients:
 
 
 def first_order_system(coeffs: OdeCoefficients) -> Callable:
-    """Right-hand side (U' , W') of the equivalent first-order system.
+    """The callable z -> (g, c1, c0, c2) that the slice BVP evaluates on its
+    mesh; the solver divides by c2, so a vanishing c2 is rejected here."""
 
-    W' = (g - c1 W - c0 U)/c2, exactly the slice ODE divided by c2.  The
-    coefficients depend on z only, so the callable evaluates them once per
-    mesh and reuses them while the same z values arrive again (Newton calls
-    it many times on one mesh).
-    """
-    memo_z = None
-    memo = None
+    def coefficients(z):
+        c2 = np.asarray(coeffs.c2(z), dtype=float)
+        if np.any(c2 == 0.0):
+            raise SingularJacobianError("c2 vanishes on the mesh; system is singular")
+        return coeffs.g(z), coeffs.c1(z), coeffs.c0(z), c2
 
-    def rhs(z, U, W):
-        nonlocal memo_z, memo
-        if memo_z is None or not np.array_equal(memo_z, z):
-            c2 = np.asarray(coeffs.c2(z), dtype=float)
-            if np.any(c2 == 0.0):
-                raise SingularJacobianError("c2 vanishes on the mesh; system is singular")
-            memo = (coeffs.g(z), coeffs.c1(z), coeffs.c0(z), c2)
-            memo_z = np.array(z, dtype=float)
-        g, c1, c0, c2 = memo
-        return W, (g - c1 * W - c0 * U) / c2
-
-    return rhs
+    return coefficients
 
 
 def _endpoint_bracket(x1_end: float, x2t: float, params: KstParams, table: PsiTable):
@@ -240,16 +228,15 @@ def solve_slice(
     slice_problem: SliceProblem,
     n_nodes: int = 1001,
     tol: float = 1e-10,
-    max_iter: int = 20,
 ) -> tuple[BvpSolution, BvpProblem]:
     """Build and solve the slice BVP; returns (solution, problem)."""
     z_min, z_max = slice_problem.bounds
     coeffs = ode_coefficients(slice_problem)
     slice_problem.brackets  # raises DegenerateBoundaryError on a vacuous end
     problem = BvpProblem(
-        z_min=z_min, z_max=z_max, rhs=first_order_system(coeffs), n_nodes=n_nodes
+        z_min=z_min, z_max=z_max, coefficients=first_order_system(coeffs), n_nodes=n_nodes
     )
-    return newton_solve(problem, tol=tol, max_iter=max_iter), problem
+    return newton_solve(problem, tol=tol), problem
 
 
 def reduced_closed_form(

@@ -3,9 +3,15 @@
 import csv
 import hashlib
 import json
+import platform
 
+import numpy as np
 import pytest
+import scipy
 
+import kstpde
+from kstpde import cli
+from kstpde.bvp import SingularMatrixError
 from kstpde.cli import main
 
 
@@ -68,6 +74,15 @@ class TestPsi:
             data = (tmp_path / "out" / name).read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest
 
+    def test_manifest_records_versions(self, tmp_path):
+        assert run(tmp_path, "psi", "--k", "1") == 0
+        assert read_manifest(tmp_path)["versions"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "kstpde": kstpde.__version__,
+        }
+
     def test_rerun_is_byte_identical(self, tmp_path):
         assert run(tmp_path, "psi", "--k", "2") == 0
         first = {
@@ -110,17 +125,41 @@ class TestSolve:
         assert run(tmp_path, "solve", "--mesh", "2") == 2
 
     @pytest.mark.filterwarnings("error")
-    def test_singular_newton_matrix_exits_1(self, tmp_path, capsys):
-        # the depth-4 coefficients make the Newton matrix singular; the
-        # typed failure is reported, not raised as a traceback, and no
-        # LinAlgWarning precedes it
+    def test_depth_4_slice_exits_1_with_report(self, tmp_path, capsys):
+        # the depth-4 slice cannot meet tol: exit 1 with the non-converged
+        # slice report written, no traceback and no LinAlgWarning
         assert run(tmp_path, "solve", "--k", "4", "--x2", "0.5", "--mesh", "201") == 1
+        assert "slice x2=0.5: residual" in capsys.readouterr().err
+        report = json.loads((tmp_path / "out" / "slice_0p5.json").read_text())
+        assert report["converged"] is False
+        assert report["iterations"] == 1
+        assert len(report["residual_history"]) == 2
+        assert report["residual_history"][-1] == report["residual_inf"] > 1e-10
+        manifest = read_manifest(tmp_path)
+        assert set(manifest["artifacts"]) == {"slice_0p5.csv", "slice_0p5.json"}
+        assert "error" not in manifest
+
+    def test_singular_newton_matrix_exits_1(self, tmp_path, capsys, monkeypatch):
+        # a typed solver failure is reported, not raised as a traceback,
+        # and recorded in the manifest
+        def singular(*args, **kwargs):
+            raise SingularMatrixError(None, 0.0)
+
+        monkeypatch.setattr(cli, "solve_slice", singular)
+        assert run(tmp_path, "solve", "--x2", "0.5", "--mesh", "101") == 1
         assert "singular Newton matrix" in capsys.readouterr().err
         manifest = read_manifest(tmp_path)
-        assert manifest["config"]["k"] == [4]
         assert manifest["artifacts"] == {}
         assert manifest["error"]["type"] == "SingularMatrixError"
         assert "singular Newton matrix" in manifest["error"]["message"]
+
+    def test_nonconverged_slice_names_residual_and_tol(self, tmp_path, capsys):
+        assert run(tmp_path, "solve", "--mesh", "101", "--tol", "1e-300") == 1
+        err = capsys.readouterr().err
+        report = json.loads((tmp_path / "out" / "slice_0p5.json").read_text())
+        assert err == (
+            f"slice x2=0.5: residual {report['residual_inf']:.3g} above tol 1e-300\n"
+        )
 
     def test_flat_float_table_exits_1_with_record(self, tmp_path, capsys):
         # at depth 5 the float64 psi table has zero increments, so the
