@@ -30,7 +30,6 @@ from .reduction import (
     compare_slice,
     first_order_system,
     jacobian_factor,
-    ode_coefficients,
     reconstruct_field,
     slice_bounds,
     solve_slice,

@@ -3,21 +3,21 @@
 c2 U'' + c1 U' + c0 U = g with U = 0 at both ends, written as U' = W,
 W' = (g - c1 W - c0 U)/c2 and discretised by trapezoidal collocation on a
 uniform mesh.  The discrete system is linear, so one exact Newton step
-from zero solves it: the collocation matrix (8N - 6 entries for N nodes,
-since a row couples nodes i and i+1 only) is assembled from the
-coefficients into CSC format and factored once with SuperLU, whose pivots
-are checked for singularity.
+from zero solves it.  A row couples nodes i and i+1 only, so with the
+unknowns interleaved as (U0, W0, U1, W1, ...) the collocation matrix is
+banded with two sub- and two super-diagonals: it is assembled from the
+coefficients straight into LAPACK band storage and factored once with
+dgbtrf, whose pivots are checked for singularity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
-from scipy.sparse import csc_array
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 __all__ = [
     "BvpProblem",
@@ -30,21 +30,17 @@ __all__ = [
 ]
 
 CSV_BLOCK_ROWS = 1024  # rows formatted per write by write_csv
+KL = KU = 2  # sub- and super-diagonals of the interleaved collocation matrix
 
 
 class SingularMatrixError(RuntimeError):
-    """Collocation matrix is numerically singular.
+    """Collocation matrix is numerically singular at a pivot of its LU factor."""
 
-    ``pivot_index`` is None when the factorization stopped at an exactly
-    zero pivot without reporting where.
-    """
-
-    def __init__(self, pivot_index: Optional[int], pivot_value: float):
+    def __init__(self, pivot_index: int, pivot_value: float):
         self.pivot_index = pivot_index
         self.pivot_value = pivot_value
-        where = "a pivot" if pivot_index is None else f"pivot {pivot_index}"
         super().__init__(
-            f"singular Newton matrix: {where} has magnitude {pivot_value:g}"
+            f"singular Newton matrix: pivot {pivot_index} has magnitude {pivot_value:g}"
         )
 
 
@@ -101,45 +97,50 @@ def _residual(problem: BvpProblem, state: np.ndarray) -> np.ndarray:
     return r
 
 
-def _collocation_matrix(problem: BvpProblem) -> csc_array:
-    """The Jacobian of ``_residual``, exact and independent of the state."""
+def _collocation_band(problem: BvpProblem) -> np.ndarray:
+    """The Jacobian of ``_residual``, exact and independent of the state, in
+    LAPACK band storage: entry (r, c) sits at [KL + KU + r - c, c], so band
+    row 4 holds the diagonal and row 4 - o the diagonal at offset c - r = o.
+
+    Columns are the interleaved unknowns (U0, W0, U1, W1, ...); rows run:
+    the left boundary, then the U row and the W row of each interval, then
+    the right boundary.  The first KL rows are dgbtrf's room for fill-in.
+    """
     n = problem.n_nodes
     half = 0.5 * (problem.nodes[1] - problem.nodes[0])
     _, c1, c0, c2 = problem.mesh_coefficients
     a, b = half * c0 / c2, half * c1 / c2
-    i = np.arange(n - 1)
-    ones = np.ones(n - 1)
-    # interval i's U row: -1, +1 on U_i, U_i+1 and -h/2, -h/2 on W_i, W_i+1;
-    # its W row: (h/2) c0/c2 on U_i, U_i+1 and -1 + (h/2) c1/c2,
-    # +1 + (h/2) c1/c2 on W_i, W_i+1; the boundary rows: 1 on their end U
-    row = np.concatenate([[0], np.tile(1 + i, 4), np.tile(n + i, 4), [2 * n - 1]])
-    cols = np.concatenate([i, i + 1, n + i, n + i + 1])  # U_i, U_i+1, W_i, W_i+1
-    col = np.concatenate([[0], cols, cols, [n - 1]])
-    values = np.concatenate([[1.0], -ones, ones, -half * ones, -half * ones,
-                             a[:-1], a[1:], b[:-1] - 1.0, b[1:] + 1.0, [1.0]])
-    return csc_array((values, (row, col)), shape=(2 * n, 2 * n))
+    band = np.zeros((2 * KL + KU + 1, 2 * n), order="F")
+    # the boundary rows: 1 on their end U
+    band[4, 0] = band[5, -2] = 1.0
+    # interval i's U row 2i+1: -1, +1 on U_i, U_i+1 and -h/2, -h/2 on W_i, W_i+1
+    band[5, :-2:2], band[3, 2::2] = -1.0, 1.0
+    band[4, 1:-1:2] = band[2, 3::2] = -half
+    # its W row 2i+2: (h/2) c0/c2 on U_i, U_i+1 and -1 + (h/2) c1/c2,
+    # +1 + (h/2) c1/c2 on W_i, W_i+1
+    band[6, :-2:2], band[4, 2::2] = a[:-1], a[1:]
+    band[5, 1:-1:2], band[3, 3::2] = b[:-1] - 1.0, b[1:] + 1.0
+    return band
 
 
-def _solve_linear(jac: csc_array, rhs_vec: np.ndarray) -> np.ndarray:
-    """Solve ``jac @ x = rhs_vec`` by sparse LU.
+def _solve_linear(band: np.ndarray, rhs_vec: np.ndarray) -> np.ndarray:
+    """Solve the banded system (KL sub-, KU super-diagonals) by LU with
+    partial pivoting; ``band`` is overwritten by its factor.
 
-    Raises SingularMatrixError when SuperLU meets an exactly zero pivot, or
+    Raises SingularMatrixError when dgbtrf meets an exactly zero pivot, or
     when the smallest |U| diagonal entry of the factor falls below
     1e3 * tiny * max(1, largest).  The reported pivot index counts in the
-    factor's row and column permuted order, not in the order of the
-    unknowns.
+    factor's row-permuted order, not in the order of the unknowns.
     """
-    try:
-        lu = splu(jac)
-    except RuntimeError as exc:
-        if "singular" not in str(exc):
-            raise
-        raise SingularMatrixError(None, 0.0) from exc
-    diag = np.abs(lu.U.diagonal())
+    lu, piv, info = dgbtrf(band, KL, KU, overwrite_ab=True)
+    if info > 0:
+        raise SingularMatrixError(info - 1, 0.0)
+    diag = np.abs(lu[KL + KU])
     worst = int(np.argmin(diag))
     if diag[worst] < 1e3 * np.finfo(float).tiny * max(1.0, diag.max()):
         raise SingularMatrixError(worst, float(diag[worst]))
-    return lu.solve(rhs_vec)
+    x, _ = dgbtrs(lu, KL, KU, rhs_vec, piv, overwrite_b=True)
+    return x
 
 
 def newton_solve(problem: BvpProblem, tol: float = 1e-10) -> BvpSolution:
@@ -156,7 +157,12 @@ def newton_solve(problem: BvpProblem, tol: float = 1e-10) -> BvpSolution:
     r = _residual(problem, state)
     history = [float(np.max(np.abs(r)))]
     if history[0] > tol:
-        state = _solve_linear(_collocation_matrix(problem), -r)
+        # residual rows into band order, then the interleaved step back to (U, W)
+        rhs = np.empty(2 * n)
+        rhs[0], rhs[-1] = -r[0], -r[-1]
+        rhs[1:-1:2], rhs[2:-1:2] = -r[1:n], -r[n:-1]
+        step = _solve_linear(_collocation_band(problem), rhs)
+        state = np.concatenate([step[0::2], step[1::2]])
         history.append(float(np.max(np.abs(_residual(problem, state)))))
     return BvpSolution(
         nodes=problem.nodes,

@@ -235,8 +235,12 @@ def cmd_taylor_check(cfg: RunConfig, args: argparse.Namespace) -> CommandResult:
 
 
 def _solve_one(cfg: RunConfig, params, table, x2: float):
+    """Solve one slice; a slice left above tol is named on stderr."""
     sp = SliceProblem(x2_tilde=x2, params=params, table=table)
     sol, problem = solve_slice(sp, n_nodes=cfg.mesh, tol=cfg.tol)
+    if not sol.converged:
+        residual = sol.residual_history[-1]
+        print(f"slice x2={x2}: residual {residual:.3g} above tol {cfg.tol:g}", file=sys.stderr)
     return sp, sol, problem
 
 
@@ -270,10 +274,6 @@ def cmd_solve(cfg: RunConfig, args: argparse.Namespace) -> CommandResult:
         sp, sol, problem = _solve_one(cfg, params, table, x2)
         artifacts += _write_slice(cfg, sp, sol, problem)
         all_converged &= sol.converged
-        if not sol.converged:
-            residual = sol.residual_history[-1]
-            msg = f"slice x2={x2}: residual {residual:.3g} above tol {cfg.tol:g}"
-            print(msg, file=sys.stderr)
     return artifacts, all_converged
 
 

@@ -29,7 +29,6 @@ from .inner import (
 
 __all__ = [
     "SliceProblem",
-    "OdeCoefficients",
     "Field2D",
     "SliceReport",
     "DegenerateBoundaryError",
@@ -38,7 +37,6 @@ __all__ = [
     "slice_bounds",
     "x1_of_z",
     "jacobian_factor",
-    "ode_coefficients",
     "first_order_system",
     "boundary_conditions",
     "analytic_solution",
@@ -98,6 +96,16 @@ class SliceProblem:
         """boundary_conditions of this slice, computed once."""
         return boundary_conditions(self)
 
+    @cached_property
+    def dpsi_x2(self) -> float:
+        """psi'(x2~), constant along the slice."""
+        return psi_derivative(self.table, 1, self.x2_tilde)
+
+    @cached_property
+    def d2psi_x2(self) -> float:
+        """psi''(x2~), constant along the slice."""
+        return psi_derivative(self.table, 2, self.x2_tilde)
+
 
 def slice_bounds(x2_tilde: float, params: KstParams, table: PsiTable):
     """z-interval of the slice: [alpha_2 psi(x2~), alpha_1 + alpha_2 psi(x2~)]."""
@@ -135,69 +143,49 @@ def jacobian_factor(z, x2_tilde: float, params: KstParams, table: PsiTable):
     return 1.0 / (params.alpha_float[0] * dpsi)
 
 
-@dataclass(frozen=True)
-class OdeCoefficients:
-    """Coefficient functions c2 U'' + c1 U' + c0 U - g = 0 of a slice."""
-
-    c2: Callable
-    c1: Callable
-    c0: Callable
-    g: Callable
-
-
-def ode_coefficients(slice_problem: SliceProblem) -> OdeCoefficients:
-    """Assemble the four z-dependent coefficient functions of the slice ODE."""
+def _x1_g_c2(slice_problem: SliceProblem, z):
+    """x1(z), psi'(x1) and the coefficients g and c2, which need no more psi data."""
     params, table = slice_problem.params, slice_problem.table
     x2t = slice_problem.x2_tilde
     a1, a2 = params.alpha_float[:2]
-    # slice-constant psi data at the fixed coordinate
-    p1_x2 = psi_derivative(table, 1, x2t)
-    p2_x2 = psi_derivative(table, 2, x2t)
-    rhs = slice_problem.rhs
+    x1, d1 = _x1_and_dpsi(z, x2t, params, table)
+    g = slice_problem.rhs(x1, x2t) / (a1 * d1)
+    c2 = (a1**2 * d1**2 + a2**2 * slice_problem.dpsi_x2**2) / (a1 * d1)
+    return x1, d1, g, c2
 
-    def c2(z):
-        _, d1 = _x1_and_dpsi(z, x2t, params, table)
-        return (a1**2 * d1**2 + a2**2 * p1_x2**2) / (a1 * d1)
 
-    def c1(z):
-        x1, d1 = _x1_and_dpsi(z, x2t, params, table)
-        d2 = psi_derivative(table, 2, x1)
-        return (a1**2 * d1**2 * d2 - a2**2 * p1_x2**2 * d2) / (a1**2 * d1**3)
+def first_order_system(slice_problem: SliceProblem) -> Callable:
+    """The callable z -> (g, c1, c0, c2) of the slice ODE c2 U'' + c1 U' +
+    c0 U = g, which the slice BVP evaluates once on its mesh.
 
-    def c0(z):
-        x1, d1 = _x1_and_dpsi(z, x2t, params, table)
+    One call makes one pass over the psi data: x1(z), then psi', psi'',
+    psi''' and psi at x1.  The solver divides by c2, so a vanishing c2 is
+    rejected here.
+    """
+    table = slice_problem.table
+    a1, a2 = slice_problem.params.alpha_float[:2]
+    p1_x2, p2_x2 = slice_problem.dpsi_x2, slice_problem.d2psi_x2
+
+    def coefficients(z):
+        x1, d1, g, c2 = _x1_g_c2(slice_problem, z)
+        if np.any(c2 == 0.0):
+            raise SingularJacobianError("c2 vanishes on the mesh; system is singular")
         d2 = psi_derivative(table, 2, x1)
         d3 = psi_derivative(table, 3, x1)
         p0 = psi_eval(table, x1)
+        c1 = (a1**2 * d1**2 * d2 - a2**2 * p1_x2**2 * d2) / (a1**2 * d1**3)
         num = a1 * a2 * d1**2 * d2 * p2_x2 + a2**2 * p1_x2**2 * (3.0 * d2 - p0 * d3)
-        return num / (a1**3 * d1**5)
-
-    def g(z):
-        x1, d1 = _x1_and_dpsi(z, x2t, params, table)
-        return rhs(x1, x2t) / (a1 * d1)
-
-    return OdeCoefficients(c2=c2, c1=c1, c0=c0, g=g)
-
-
-def first_order_system(coeffs: OdeCoefficients) -> Callable:
-    """The callable z -> (g, c1, c0, c2) that the slice BVP evaluates on its
-    mesh; the solver divides by c2, so a vanishing c2 is rejected here."""
-
-    def coefficients(z):
-        c2 = np.asarray(coeffs.c2(z), dtype=float)
-        if np.any(c2 == 0.0):
-            raise SingularJacobianError("c2 vanishes on the mesh; system is singular")
-        return coeffs.g(z), coeffs.c1(z), coeffs.c0(z), c2
+        return g, c1, num / (a1**3 * d1**5), c2
 
     return coefficients
 
 
-def _endpoint_bracket(x1_end: float, x2t: float, params: KstParams, table: PsiTable):
-    a1, a2 = params.alpha_float[:2]
+def _endpoint_bracket(slice_problem: SliceProblem, x1_end: float):
+    table = slice_problem.table
+    a1, a2 = slice_problem.params.alpha_float[:2]
     d1 = psi_derivative(table, 1, x1_end)
     d2 = psi_derivative(table, 2, x1_end)
-    p1_x2 = psi_derivative(table, 1, x2t)
-    p2_x2 = psi_derivative(table, 2, x2t)
+    p1_x2, p2_x2 = slice_problem.dpsi_x2, slice_problem.d2psi_x2
     return (
         (a2**2 * p1_x2**2 * d2 + a1 * a2 * d1**2 * p2_x2) / (a1**2 * d1**3)
         + a1 * d1
@@ -211,10 +199,8 @@ def boundary_conditions(slice_problem: SliceProblem) -> tuple[float, float]:
     The printed brackets multiply U at z_min/z_max; when nonzero they
     reduce to the Dirichlet-zero ends the BVP solver imposes.
     """
-    params, table = slice_problem.params, slice_problem.table
-    x2t = slice_problem.x2_tilde
-    left = float(_endpoint_bracket(0.0, x2t, params, table))
-    right = float(_endpoint_bracket(1.0, x2t, params, table))
+    left = float(_endpoint_bracket(slice_problem, 0.0))
+    right = float(_endpoint_bracket(slice_problem, 1.0))
     for name, val in (("left", left), ("right", right)):
         if abs(val) < 1e-12:
             raise DegenerateBoundaryError(
@@ -231,10 +217,12 @@ def solve_slice(
 ) -> tuple[BvpSolution, BvpProblem]:
     """Build and solve the slice BVP; returns (solution, problem)."""
     z_min, z_max = slice_problem.bounds
-    coeffs = ode_coefficients(slice_problem)
     slice_problem.brackets  # raises DegenerateBoundaryError on a vacuous end
     problem = BvpProblem(
-        z_min=z_min, z_max=z_max, coefficients=first_order_system(coeffs), n_nodes=n_nodes
+        z_min=z_min,
+        z_max=z_max,
+        coefficients=first_order_system(slice_problem),
+        n_nodes=n_nodes,
     )
     return newton_solve(problem, tol=tol), problem
 
@@ -249,9 +237,9 @@ def reduced_closed_form(
     by ``refine`` relative to z_nodes, then samples back.
     """
     z_min, z_max = slice_problem.bounds
-    coeffs = ode_coefficients(slice_problem)
     fine = np.linspace(z_min, z_max, refine * (len(z_nodes) - 1) + 1)
-    rhs = coeffs.g(fine) / coeffs.c2(fine)
+    _, _, g, c2 = _x1_g_c2(slice_problem, fine)
+    rhs = g / c2
     w = cumulative_trapezoid(rhs, fine, initial=0.0)
     u = cumulative_trapezoid(w, fine, initial=0.0)
     # enforce U(z_max) = 0 by subtracting the homogeneous linear mode

@@ -5,20 +5,49 @@ import io
 
 import numpy as np
 import pytest
-from scipy.sparse import csc_array
 
 from kstpde.bvp import (
+    KL,
+    KU,
     BvpProblem,
     BvpSolution,
     SingularMatrixError,
-    _collocation_matrix,
+    _collocation_band,
     _residual,
     _solve_linear,
     export_solution_csv,
     newton_solve,
     ode_residual,
 )
-from kstpde.reduction import SliceProblem, first_order_system, ode_coefficients
+from kstpde.reduction import SliceProblem, first_order_system
+
+
+def to_band(dense):
+    """LAPACK band storage of a dense matrix with KL sub- and KU super-diagonals."""
+    n = len(dense)
+    band = np.zeros((2 * KL + KU + 1, n), order="F")
+    for r, c in zip(*np.nonzero(dense)):
+        band[KL + KU + r - c, c] = dense[r, c]
+    return band
+
+
+def to_dense(band):
+    """The matrix that LAPACK band storage holds (its fill-in rows ignored)."""
+    n = band.shape[1]
+    dense = np.zeros((n, n))
+    for r in range(n):
+        for c in range(max(0, r - KL), min(n, r + KU + 1)):
+            dense[r, c] = band[KL + KU + r - c, c]
+    return dense
+
+
+def band_order(n):
+    """Permutations of the (U, W) state and of the residual rows into band order:
+    unknowns interleaved, rows left end, each interval's U then W row, right end."""
+    cols = np.column_stack([np.arange(n), n + np.arange(n)]).ravel()
+    intervals = np.column_stack([1 + np.arange(n - 1), n + np.arange(n - 1)]).ravel()
+    rows = np.concatenate([[0], intervals, [2 * n - 1]])
+    return rows, cols
 
 
 def make_problem(g, n_nodes, c0=0.0, z_min=0.0, z_max=1.0):
@@ -57,11 +86,12 @@ class TestNewtonSolve:
         assert len(sol.residual_history) == 2
         assert sol.residual_history[-1] == ode_residual(sol, problem) <= 1e-10
         state = np.concatenate([sol.U, sol.W])
-        step = _solve_linear(_collocation_matrix(problem), -_residual(problem, state))
+        rows, _ = band_order(problem.n_nodes)
+        step = _solve_linear(_collocation_band(problem), -_residual(problem, state)[rows])
         assert np.max(np.abs(step)) <= 1e-10 * (1.0 + np.max(np.abs(sol.U)))
 
     def test_linear_problem_at_1e5_nodes(self):
-        # the sparse Newton core keeps a 200,002-unknown slice to one step
+        # the banded Newton core keeps a 200,002-unknown slice to one step
         problem = make_problem(lambda z: np.sin(3.0 * z), 100_001, c0=0.5)
         sol = newton_solve(problem)
         assert sol.converged and sol.iterations == 1
@@ -118,19 +148,20 @@ class TestSparseJacobian:
             x2_tilde=0.35, params=params_k4, table=table_k4, rhs=lambda x1, x2: 0.0 * x1
         )
         z_min, z_max = sp.bounds
-        coefficients = first_order_system(ode_coefficients(sp))
+        coefficients = first_order_system(sp)
         return BvpProblem(z_min=z_min, z_max=z_max, coefficients=coefficients, n_nodes=31)
 
     def test_matches_columnwise_forward_differences(self, problem):
         state = np.random.default_rng(5).standard_normal(2 * problem.n_nodes)
         r0 = _residual(problem, state)
-        jac = _collocation_matrix(problem).toarray()
+        jac = to_dense(_collocation_band(problem))
+        rows, cols = band_order(problem.n_nodes)
         ref = np.empty_like(jac)
-        for col in range(len(state)):
+        for j, col in enumerate(cols):
             eps = 1e-7 * (1.0 + abs(state[col]))
             pert = state.copy()
             pert[col] += eps
-            ref[:, col] = (_residual(problem, pert) - r0) / eps
+            ref[:, j] = ((_residual(problem, pert) - r0) / eps)[rows]
         # forward differences differ from the exact entries by the rounding
         # of r, about 1e-16 |r| / eps, so compare against each row's largest
         scale = np.max(np.abs(ref), axis=1, keepdims=True)
@@ -138,37 +169,39 @@ class TestSparseJacobian:
 
     def test_entries_stay_in_two_node_stencil(self, problem):
         n = problem.n_nodes
-        coo = _collocation_matrix(problem).tocoo()
-        node = coo.col % n
-        # boundary rows see their end node's U; interval rows i and n+i-1
-        # see nodes i-1 and i
-        interval = np.where(coo.row < n, coo.row - 1, coo.row - n)
+        band = _collocation_band(problem)
+        r = np.arange(2 * n)[None, :] + np.arange(-KL - KU, KL + 1)[:, None]
+        c = np.broadcast_to(np.arange(2 * n), band.shape)
+        # boundary rows see their end node's U; the U and W rows of interval
+        # i (rows 2i+1, 2i+2) see nodes i and i+1
+        interval = (r - 1) // 2
         in_stencil = np.where(
-            coo.row == 0,
-            coo.col == 0,
+            r == 0,
+            c == 0,
             np.where(
-                coo.row == 2 * n - 1,
-                coo.col == n - 1,
-                (node == interval) | (node == interval + 1),
+                r == 2 * n - 1,
+                c == 2 * n - 2,
+                (r > 0) & (r < 2 * n - 1) & ((c // 2 == interval) | (c // 2 == interval + 1)),
             ),
         )
-        assert in_stencil.all()
-        assert coo.nnz == 8 * n - 6
+        assert np.all(band[~in_stencil] == 0.0)
+        assert np.count_nonzero(in_stencil) == 8 * n - 6
 
 
 class TestSolveLinear:
     def test_exactly_singular_matrix_raises(self):
-        jac = csc_array(np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]))
+        # pivoting swaps rows 0 and 1, then row 1 of the factor is all zero
+        band = to_band(np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]))
         with pytest.raises(SingularMatrixError) as exc:
-            _solve_linear(jac, np.ones(3))
-        assert exc.value.pivot_value == 0.0
-        assert "singular Newton matrix" in str(exc.value)
+            _solve_linear(band, np.ones(3))
+        assert (exc.value.pivot_index, exc.value.pivot_value) == (1, 0.0)
+        assert str(exc.value) == "singular Newton matrix: pivot 1 has magnitude 0"
 
     def test_vanishing_pivot_raises(self):
-        jac = csc_array(np.diag([1.0, 1e-306, 2.0]))
+        band = to_band(np.diag([1.0, 1e-306, 2.0]))
         with pytest.raises(SingularMatrixError) as exc:
-            _solve_linear(jac, np.ones(3))
-        assert exc.value.pivot_value == 1e-306
+            _solve_linear(band, np.ones(3))
+        assert (exc.value.pivot_index, exc.value.pivot_value) == (1, 1e-306)
 
 
 class TestExport:

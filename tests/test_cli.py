@@ -143,15 +143,15 @@ class TestSolve:
         # a typed solver failure is reported, not raised as a traceback,
         # and recorded in the manifest
         def singular(*args, **kwargs):
-            raise SingularMatrixError(None, 0.0)
+            raise SingularMatrixError(3, 0.0)
 
         monkeypatch.setattr(cli, "solve_slice", singular)
         assert run(tmp_path, "solve", "--x2", "0.5", "--mesh", "101") == 1
-        assert "singular Newton matrix" in capsys.readouterr().err
+        message = "singular Newton matrix: pivot 3 has magnitude 0"
+        assert capsys.readouterr().err == f"error: {message}\n"
         manifest = read_manifest(tmp_path)
         assert manifest["artifacts"] == {}
-        assert manifest["error"]["type"] == "SingularMatrixError"
-        assert "singular Newton matrix" in manifest["error"]["message"]
+        assert manifest["error"] == {"type": "SingularMatrixError", "message": message}
 
     def test_nonconverged_slice_names_residual_and_tol(self, tmp_path, capsys):
         assert run(tmp_path, "solve", "--mesh", "101", "--tol", "1e-300") == 1
@@ -186,6 +186,26 @@ class TestSweepCompareVerify:
         report = json.loads(capsys.readouterr().out)
         assert report["converged"] is True
         assert report["amplitude_ratio"] > 1.0
+
+    @pytest.mark.parametrize(
+        "argv, reports",
+        [(["sweep", "--x2-grid", "3"], "slice_*.json"), (["compare", "--x2", "0.5"], "compare_*.json")],
+    )
+    def test_nonconverged_rows_named_on_stderr(self, tmp_path, capsys, argv, reports):
+        # depth 3 stops at a rounding floor above tol: exit 1, and every row
+        # left above tol is named on stderr, as solve does
+        assert run(tmp_path, *argv, "--k", "3", "--mesh", "201") == 1
+        err = capsys.readouterr().err
+        rows = sorted(
+            (json.loads(p.read_text()) for p in (tmp_path / "out").glob(reports)),
+            key=lambda r: r["x2_tilde"],
+        )
+        expected = [
+            f"slice x2={r['x2_tilde']}: residual {r['residual_inf']:.3g} above tol 1e-10\n"
+            for r in rows
+            if not r["converged"]
+        ]
+        assert expected and err == "".join(expected)
 
     def test_taylor_check(self, tmp_path):
         assert run(tmp_path, "taylor-check") == 0

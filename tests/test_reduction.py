@@ -10,7 +10,14 @@ import pytest
 
 from kstpde import checks, reduction
 from kstpde.bvp import ode_residual
-from kstpde.inner import MonotonicityError, psi_eval
+from kstpde.inner import (
+    MonotonicityError,
+    build_psi,
+    compute_constants,
+    psi_derivative,
+    psi_eval,
+    psi_inverse,
+)
 from kstpde.reduction import (
     DegenerateBoundaryError,
     Field2D,
@@ -21,8 +28,8 @@ from kstpde.reduction import (
     export_field_csv,
     first_order_system,
     jacobian_factor,
-    ode_coefficients,
     reconstruct_field,
+    reduced_closed_form,
     slice_bounds,
     solve_slice,
     x1_of_z,
@@ -104,39 +111,104 @@ class TestJacobianFactor:
         )
 
 
+def separate_formulas(sp, z):
+    """(g, c1, c0, c2) by the four coefficient formulas written out one by
+    one from psi_derivative and psi_eval."""
+    params, table, x2 = sp.params, sp.table, sp.x2_tilde
+    a1, a2 = params.alpha_float[:2]
+    p1_x2 = psi_derivative(table, 1, x2)
+    p2_x2 = psi_derivative(table, 2, x2)
+    x1 = x1_of_z(z, x2, params, table)
+    d1, d2, d3 = (psi_derivative(table, order, x1) for order in (1, 2, 3))
+    p0 = psi_eval(table, x1)
+    c2 = (a1**2 * d1**2 + a2**2 * p1_x2**2) / (a1 * d1)
+    c1 = (a1**2 * d1**2 * d2 - a2**2 * p1_x2**2 * d2) / (a1**2 * d1**3)
+    num = a1 * a2 * d1**2 * d2 * p2_x2 + a2**2 * p1_x2**2 * (3.0 * d2 - p0 * d3)
+    c0 = num / (a1**3 * d1**5)
+    g = sp.rhs(x1, x2) / (a1 * d1)
+    return g, c1, c0, c2
+
+
+def counting_psi_calls(monkeypatch):
+    """Wrap psi_inverse and psi_derivative where kstpde.reduction calls them;
+    the returned list collects (name, derivative order or None, argument size)."""
+    calls = []
+
+    def inverse(table, y):
+        calls.append(("psi_inverse", None, np.size(y)))
+        return psi_inverse(table, y)
+
+    def derivative(table, order, x):
+        calls.append(("psi_derivative", order, np.size(x)))
+        return psi_derivative(table, order, x)
+
+    monkeypatch.setattr(reduction, "psi_inverse", inverse)
+    monkeypatch.setattr(reduction, "psi_derivative", derivative)
+    return calls
+
+
 class TestOdeCoefficients:
     def test_identity_table_values(self, params_k1, table_k1):
         a1, a2 = params_k1.alpha_float
         sp = SliceProblem(x2_tilde=0.5, params=params_k1, table=table_k1)
-        coeffs = ode_coefficients(sp)
         z = 0.5 * sum(sp.bounds)
-        assert coeffs.c2(z) == pytest.approx((a1**2 + a2**2) / a1, rel=1e-9)
-        assert coeffs.c1(z) == pytest.approx(0.0, abs=1e-9)
-        assert coeffs.c0(z) == pytest.approx(0.0, abs=1e-9)
+        g, c1, c0, c2 = first_order_system(sp)(z)
+        assert c2 == pytest.approx((a1**2 + a2**2) / a1, rel=1e-9)
+        assert c1 == pytest.approx(0.0, abs=1e-9)
+        assert c0 == pytest.approx(0.0, abs=1e-9)
         x1 = x1_of_z(z, 0.5, params_k1, table_k1)
-        assert coeffs.g(z) == pytest.approx(
+        assert g == pytest.approx(
             math.sin(math.pi * x1) * math.sin(math.pi * 0.5) / a1, rel=1e-9
         )
 
     def test_zero_source_row(self, params_k1, table_k1):
         sp = SliceProblem(x2_tilde=0.0, params=params_k1, table=table_k1)
-        coeffs = ode_coefficients(sp)
-        for z in np.linspace(*sp.bounds, 5):
-            assert coeffs.g(z) == pytest.approx(0.0, abs=1e-15)
+        g, _, _, _ = first_order_system(sp)(np.linspace(*sp.bounds, 5))
+        assert np.all(np.abs(g) <= 1e-15)
 
     def test_c2_positive_on_slices(self, params_k4, table_k4):
         for x2 in (0.1, 0.5, 0.9):
             sp = SliceProblem(x2_tilde=x2, params=params_k4, table=table_k4)
-            coeffs = ode_coefficients(sp)
-            z = np.linspace(*sp.bounds, 101)
-            assert np.all(coeffs.c2(z) > 0.0)
+            _, _, _, c2 = first_order_system(sp)(np.linspace(*sp.bounds, 101))
+            assert np.all(c2 > 0.0)
+
+    @pytest.mark.parametrize("k, x2", [(2, 0.3), (4, 0.35)])
+    def test_one_pass_equals_separate_formulas(self, k, x2):
+        params = compute_constants(2, 10, 8, k=k)
+        sp = SliceProblem(x2_tilde=x2, params=params, table=build_psi(params))
+        z = np.linspace(*sp.bounds, 1001)
+        for one_pass, separate in zip(first_order_system(sp)(z), separate_formulas(sp, z)):
+            assert np.array_equal(one_pass, separate)
+
+    def test_one_psi_pass_per_evaluation(self, params_k4, table_k4, monkeypatch):
+        sp = SliceProblem(x2_tilde=0.35, params=params_k4, table=table_k4)
+        coefficients = first_order_system(sp)  # psi'(x2~), psi''(x2~) once per slice
+        calls = counting_psi_calls(monkeypatch)
+        coefficients(np.linspace(*sp.bounds, 101))
+        assert sorted(calls, key=str) == [
+            ("psi_derivative", 1, 101),
+            ("psi_derivative", 2, 101),
+            ("psi_derivative", 3, 101),
+            ("psi_inverse", None, 101),
+        ]
+
+    def test_closed_form_needs_only_x1_and_psi_prime(self, params_k4, table_k4, monkeypatch):
+        sp = SliceProblem(x2_tilde=0.35, params=params_k4, table=table_k4)
+        calls = counting_psi_calls(monkeypatch)
+        reduced_closed_form(sp, np.linspace(*sp.bounds, 101))
+        # one pass on the 8x-refined mesh of 801 nodes, plus psi'(x2~)
+        assert sorted(calls, key=str) == [
+            ("psi_derivative", 1, 1),
+            ("psi_derivative", 1, 801),
+            ("psi_inverse", None, 801),
+        ]
 
 
 class TestFirstOrderSystem:
     def test_identity_table_w_prime(self, params_k1, table_k1):
         a1, a2 = params_k1.alpha_float
         sp = SliceProblem(x2_tilde=0.5, params=params_k1, table=table_k1)
-        coefficients = first_order_system(ode_coefficients(sp))
+        coefficients = first_order_system(sp)
         z = 0.5 * sum(sp.bounds)
         x1 = x1_of_z(z, 0.5, params_k1, table_k1)
         g, _, _, c2 = coefficients(z)
@@ -146,29 +218,29 @@ class TestFirstOrderSystem:
 
     def test_zero_state_zero_source(self, params_k1, table_k1):
         sp = SliceProblem(x2_tilde=0.0, params=params_k1, table=table_k1)
-        coefficients = first_order_system(ode_coefficients(sp))
+        coefficients = first_order_system(sp)
         g, _, _, c2 = coefficients(0.5 * sum(sp.bounds))
         assert g / c2 == pytest.approx(0.0, abs=1e-15)
 
     def test_algebraic_rederivation_at_random_states(self, params_k4, table_k4):
         # oracle: W' = (g - c1 W - c0 U)/c2 from the returned arrays,
         # multiplied back by c2, against the second-order form evaluated
-        # directly
+        # by the separate coefficient formulas
         rng = np.random.default_rng(21)
         sp = SliceProblem(x2_tilde=0.35, params=params_k4, table=table_k4)
-        coeffs = ode_coefficients(sp)
-        coefficients = first_order_system(coeffs)
+        coefficients = first_order_system(sp)
         z_min, z_max = sp.bounds
         for _ in range(20):
             z = rng.uniform(z_min, z_max)
             u, w = rng.standard_normal(2)
             g, c1, c0, c2 = coefficients(z)
             dw = (g - c1 * w - c0 * u) / c2
-            terms = (coeffs.c2(z) * dw, coeffs.c1(z) * w, coeffs.c0(z) * u)
+            g_ref, c1_ref, c0_ref, c2_ref = separate_formulas(sp, z)
+            terms = (c2_ref * dw, c1_ref * w, c0_ref * u)
             scale = max(abs(t) for t in terms) + 1.0
             # residual measured against the largest term: the depth-4
             # coefficients are huge and cancel, so g itself is a poor scale
-            assert abs(sum(terms) - coeffs.g(z)) <= 1e-12 * scale
+            assert abs(sum(terms) - g_ref) <= 1e-12 * scale
 
     def test_evaluated_once_per_solve_and_residual(self, params_k1, table_k1, monkeypatch):
         calls = []
