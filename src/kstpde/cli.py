@@ -20,7 +20,7 @@ import numpy as np
 import scipy
 
 from . import __version__, checks, combinatorics, variational
-from .bvp import SingularMatrixError, export_solution_csv, ode_residual
+from .bvp import SingularMatrixError, export_solution_csv
 from .inner import (
     FMT,
     MonotonicityError,
@@ -237,16 +237,17 @@ def cmd_taylor_check(cfg: RunConfig, args: argparse.Namespace) -> CommandResult:
 def _solve_one(cfg: RunConfig, params, table, x2: float):
     """Solve one slice; a slice left above tol is named on stderr."""
     sp = SliceProblem(x2_tilde=x2, params=params, table=table)
-    sol, problem = solve_slice(sp, n_nodes=cfg.mesh, tol=cfg.tol)
+    sol, _ = solve_slice(sp, n_nodes=cfg.mesh, tol=cfg.tol)
     if not sol.converged:
         residual = sol.residual_history[-1]
         print(f"slice x2={x2}: residual {residual:.3g} above tol {cfg.tol:g}", file=sys.stderr)
-    return sp, sol, problem
+    return sp, sol
 
 
-def _slice_report(sp, sol, problem) -> dict:
+def _slice_report(sp, sol) -> dict:
+    """compare_slice's distances plus the collocation residual the solve left."""
     report = compare_slice(sol, sp).to_dict()
-    report["residual_inf"] = ode_residual(sol, problem)
+    report["residual_inf"] = sol.residual_history[-1]
     return report
 
 
@@ -254,14 +255,14 @@ def _tag(x2: float) -> str:
     return ("%g" % x2).replace(".", "p")
 
 
-def _write_slice(cfg: RunConfig, sp, sol, problem) -> list[Path]:
+def _write_slice(cfg: RunConfig, sp, sol) -> list[Path]:
     x2 = sp.x2_tilde
     x1 = x1_of_z(sol.nodes, x2, sp.params, sp.table)
     csv_path = cfg.out / f"slice_{_tag(x2)}.csv"
     export_solution_csv(
         sol, csv_path, extra_cols={"u_analytic_restriction": analytic_solution(x1, x2)}
     )
-    report = _slice_report(sp, sol, problem)
+    report = _slice_report(sp, sol)
     report["residual_history"] = sol.residual_history
     return [csv_path, _write_json(cfg, f"slice_{_tag(x2)}.json", report)]
 
@@ -271,8 +272,8 @@ def cmd_solve(cfg: RunConfig, args: argparse.Namespace) -> CommandResult:
     artifacts = []
     all_converged = True
     for x2 in cfg.x2:
-        sp, sol, problem = _solve_one(cfg, params, table, x2)
-        artifacts += _write_slice(cfg, sp, sol, problem)
+        sp, sol = _solve_one(cfg, params, table, x2)
+        artifacts += _write_slice(cfg, sp, sol)
         all_converged &= sol.converged
     return artifacts, all_converged
 
@@ -284,8 +285,8 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> CommandResult:
     all_converged = True
     solutions = {}
     for x2 in map(float, rows):
-        sp, sol, problem = _solve_one(cfg, params, table, x2)
-        artifacts += _write_slice(cfg, sp, sol, problem)
+        sp, sol = _solve_one(cfg, params, table, x2)
+        artifacts += _write_slice(cfg, sp, sol)
         solutions[x2] = (sol, sp)
         all_converged &= sol.converged
     field = reconstruct_field(solutions, np.linspace(0.0, 1.0, cfg.x2_grid), rows)
@@ -299,8 +300,8 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> CommandResult:
     artifacts = []
     all_converged = True
     for x2 in cfg.x2:
-        sp, sol, problem = _solve_one(cfg, params, table, x2)
-        report = _slice_report(sp, sol, problem)
+        sp, sol = _solve_one(cfg, params, table, x2)
+        report = _slice_report(sp, sol)
         artifacts.append(_write_json(cfg, f"compare_{_tag(x2)}.json", report))
         print(json.dumps(report, indent=2))
         all_converged &= sol.converged

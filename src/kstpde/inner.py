@@ -243,16 +243,22 @@ def psi_derivative(table: PsiTable, order: int, x):
     """Forward-difference derivative of psi of the given order (1..3).
 
     Order 1 is (psi(x+D) - psi(x))/D with D = gamma**-k; higher orders
-    apply the same forward difference to the lower-order result.  Points
-    past the tabulated period rely on the periodic extension of psi.
+    apply the same forward difference to the lower-order result.  psi is
+    evaluated once at each of x, x+D, ..., x+order*D, each point the
+    previous one plus D, and the table of differences is built from those
+    values.  Points past the tabulated period rely on the periodic
+    extension of psi.
     """
     if order not in (1, 2, 3):
         raise ValueError(f"derivative order must be 1, 2 or 3, got {order}")
     d = table.delta
-    if order == 1:
-        return (psi_eval(table, np.asarray(x, dtype=float) + d) - psi_eval(table, x)) / d
-    lower = psi_derivative(table, order - 1, np.asarray(x, dtype=float) + d)
-    return (lower - psi_derivative(table, order - 1, x)) / d
+    points = [np.asarray(x, dtype=float)]
+    for _ in range(order):
+        points.append(points[-1] + d)
+    diffs = [psi_eval(table, p) for p in points]
+    for _ in range(order):
+        diffs = [(hi - lo) / d for lo, hi in zip(diffs, diffs[1:])]
+    return diffs[0]
 
 
 def psi_eval_exact(table: PsiTable, x: Fraction) -> Fraction:

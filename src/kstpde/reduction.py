@@ -15,7 +15,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, trapezoid
 
 from .bvp import BvpProblem, BvpSolution, newton_solve, write_csv
 from .inner import (
@@ -45,6 +44,7 @@ __all__ = [
     "compare_slice",
     "reconstruct_field",
     "export_field_csv",
+    "trapezoid_panels",
 ]
 
 
@@ -227,6 +227,17 @@ def solve_slice(
     return newton_solve(problem, tol=tol), problem
 
 
+def trapezoid_panels(y: np.ndarray, step) -> np.ndarray:
+    """Trapezoid-rule areas step * (y[i+1] + y[i]) / 2 along the last axis of
+    y, for a scalar step or an array of steps.
+
+    The operations and their order are those of scipy.integrate.trapezoid
+    and cumulative_trapezoid, so ``np.sum`` and ``np.cumsum`` of the panels
+    reproduce those rules bit for bit.
+    """
+    return step * (y[..., 1:] + y[..., :-1]) / 2.0
+
+
 def reduced_closed_form(
     slice_problem: SliceProblem, z_nodes: np.ndarray, refine: int = 8
 ) -> np.ndarray:
@@ -240,8 +251,9 @@ def reduced_closed_form(
     fine = np.linspace(z_min, z_max, refine * (len(z_nodes) - 1) + 1)
     _, _, g, c2 = _x1_g_c2(slice_problem, fine)
     rhs = g / c2
-    w = cumulative_trapezoid(rhs, fine, initial=0.0)
-    u = cumulative_trapezoid(w, fine, initial=0.0)
+    steps = np.diff(fine)
+    w = np.concatenate(([0.0], np.cumsum(trapezoid_panels(rhs, steps))))
+    u = np.concatenate(([0.0], np.cumsum(trapezoid_panels(w, steps))))
     # enforce U(z_max) = 0 by subtracting the homogeneous linear mode
     u -= (fine - z_min) / (z_max - z_min) * u[-1]
     return np.interp(z_nodes, fine, u)
@@ -271,7 +283,7 @@ class SliceReport:
 
 
 def _l2(values: np.ndarray, z: np.ndarray) -> float:
-    return float(np.sqrt(trapezoid(values**2, z)))
+    return float(np.sqrt(np.sum(trapezoid_panels(values**2, np.diff(z)))))
 
 
 def compare_slice(solution: BvpSolution, slice_problem: SliceProblem) -> SliceReport:

@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
 
-from .reduction import Field2D, default_source
+from .reduction import Field2D, default_source, trapezoid_panels
 
 __all__ = [
     "functional_value",
@@ -40,6 +39,12 @@ def _d2(u: np.ndarray, h: float, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
+def _integrate_2d(values: np.ndarray, h1: float, h2: float) -> float:
+    """Trapezoid rule over x2 (the last axis), then over x1."""
+    rows = np.sum(trapezoid_panels(values, h2), axis=-1)
+    return float(np.sum(trapezoid_panels(rows, h1)))
+
+
 def functional_value(field: Field2D, source_sign: float = -1.0) -> float:
     """Quadrature of the second-order integrand over the unit square.
 
@@ -60,7 +65,7 @@ def functional_value(field: Field2D, source_sign: float = -1.0) -> float:
         - 2.0 * _d2(u, h1, 0) * u
         - 2.0 * _d2(u, h2, 1) * u
     )
-    return float(trapezoid(trapezoid(integrand, dx=h2, axis=1), dx=h1))
+    return _integrate_2d(integrand, h1, h2)
 
 
 def first_variation(
@@ -90,9 +95,7 @@ def direction_norm(direction: Field2D) -> float:
     """L2 norm of a perturbation over the unit square."""
     h1 = direction.x1[1] - direction.x1[0]
     h2 = direction.x2[1] - direction.x2[0]
-    return float(
-        np.sqrt(trapezoid(trapezoid(direction.values**2, dx=h2, axis=1), dx=h1))
-    )
+    return float(np.sqrt(_integrate_2d(direction.values**2, h1, h2)))
 
 
 def random_admissible_direction(nx: int, ny: int, rng, modes: int = 4) -> Field2D:

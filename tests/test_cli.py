@@ -3,7 +3,11 @@
 import csv
 import hashlib
 import json
+import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +15,10 @@ import scipy
 
 import kstpde
 from kstpde import cli
-from kstpde.bvp import SingularMatrixError
+from kstpde.bvp import SingularMatrixError, ode_residual
 from kstpde.cli import main
+from kstpde.inner import build_psi, compute_constants
+from kstpde.reduction import SliceProblem, solve_slice
 
 
 def run(tmp_path, *argv):
@@ -161,6 +167,19 @@ class TestSolve:
             f"slice x2=0.5: residual {report['residual_inf']:.3g} above tol 1e-300\n"
         )
 
+    @pytest.mark.parametrize(
+        "k, x2, converged", [(1, 0.5, True), (1, 0.0, True), (3, 0.5, False)]
+    )
+    def test_residual_inf_is_the_collocation_residual(self, tmp_path, k, x2, converged):
+        argv = ["solve", "--k", str(k), "--x2", str(x2), "--mesh", "201"]
+        assert run(tmp_path, *argv) == (0 if converged else 1)
+        report = json.loads((tmp_path / "out" / f"slice_{cli._tag(x2)}.json").read_text())
+        assert report["converged"] is converged
+        params = compute_constants(2, 10, 8, k=k)
+        sp = SliceProblem(x2_tilde=x2, params=params, table=build_psi(params))
+        sol, problem = solve_slice(sp, n_nodes=201)
+        assert report["residual_inf"] == ode_residual(sol, problem)
+
     def test_flat_float_table_exits_1_with_record(self, tmp_path, capsys):
         # at depth 5 the float64 psi table has zero increments, so the
         # slice rejects it; the failure is recorded in the manifest
@@ -249,3 +268,30 @@ class TestConfigFile:
         cfg.write_text("this is not key value\n")
         assert main(["solve", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 2
+
+
+# scipy subpackages that scipy.integrate pulls in; kstpde needs only
+# scipy.linalg's LAPACK band LU
+UNUSED_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.special", "scipy.fft")
+
+
+def test_cli_import_loads_no_unused_scipy_subpackage():
+    src = Path(kstpde.__file__).resolve().parent.parent
+    probe = (
+        "import json, sys\n"
+        "import kstpde.cli\n"
+        "from kstpde import checks\n"
+        "print(json.dumps({'loaded': sorted(m for m in sys.modules if m.startswith('scipy')),\n"
+        "                  'rules_built': checks._gauss_legendre_40.cache_info().currsize}))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    state = json.loads(result.stdout)
+    assert "scipy.linalg" in state["loaded"]
+    assert [m for m in UNUSED_SCIPY if m in state["loaded"]] == []
+    # the Gauss-Legendre rule is built on first use, not at import
+    assert state["rules_built"] == 0

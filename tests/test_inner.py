@@ -220,7 +220,44 @@ class TestPsiEval:
         )
 
 
+def recursive_derivative(table, order, x):
+    """The forward-difference derivative by recursion: each order the
+    forward difference of the order below, psi evaluated at the leaves."""
+    d = table.delta
+    if order == 1:
+        return (psi_eval(table, np.asarray(x, dtype=float) + d) - psi_eval(table, x)) / d
+    lower = recursive_derivative(table, order - 1, np.asarray(x, dtype=float) + d)
+    return (lower - recursive_derivative(table, order - 1, x)) / d
+
+
 class TestPsiDerivative:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_difference_table_matches_recursion_bit_for_bit(self, k):
+        table = build_psi(compute_constants(2, 10, 8, k=k))
+        d = table.delta
+        edges = [0.0, d, 1.0 - 3 * d, 1.0 - 2 * d, 1.0 - d, np.nextafter(1.0, 0.0), 1.0]
+        xs = np.concatenate([np.random.default_rng(k).uniform(0.0, 1.0, 5000), edges])
+        for order in (1, 2, 3):
+            assert np.array_equal(
+                psi_derivative(table, order, xs), recursive_derivative(table, order, xs)
+            )
+            for x in edges:
+                value = psi_derivative(table, order, x)
+                assert type(value) is float
+                assert value == recursive_derivative(table, order, x)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_one_psi_evaluation_per_point_set(self, table_k4, order, monkeypatch):
+        sizes = []
+
+        def counting_eval(table, x):
+            sizes.append(np.size(x))
+            return psi_eval(table, x)
+
+        monkeypatch.setattr(inner, "psi_eval", counting_eval)
+        psi_derivative(table_k4, order, np.linspace(0.0, 1.0, 11))
+        assert sizes == [11] * (order + 1)
+
     def test_identity_first_derivative(self, table_k1):
         for x in np.linspace(0.0, 0.9, 19):
             assert psi_derivative(table_k1, 1, x) == pytest.approx(1.0, abs=1e-12)

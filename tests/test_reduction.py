@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid, fixed_quad, trapezoid
 
 from kstpde import checks, reduction
 from kstpde.bvp import ode_residual
@@ -32,6 +33,7 @@ from kstpde.reduction import (
     reduced_closed_form,
     slice_bounds,
     solve_slice,
+    trapezoid_panels,
     x1_of_z,
 )
 
@@ -407,3 +409,60 @@ class TestChangeOfVariablesIdentity:
     @pytest.mark.parametrize("coeffs", checks.QUADRATURE_CUBICS)
     def test_cubic_transfer(self, coeffs, params_k1, table_k1):
         assert checks.quadrature_transfer_error(coeffs, params_k1, table_k1) <= 1e-10
+
+    @pytest.mark.parametrize("coeffs", checks.QUADRATURE_CUBICS)
+    def test_gauss_legendre_matches_scipy_fixed_quad(self, coeffs, params_k1, table_k1):
+        poly = np.polynomial.Polynomial(coeffs)
+        x2 = checks.QUADRATURE_X2
+
+        def integrand(z):
+            x1 = x1_of_z(z, x2, params_k1, table_k1)
+            return poly(x1) * jacobian_factor(z, x2, params_k1, table_k1)
+
+        quad, _ = fixed_quad(integrand, *slice_bounds(x2, params_k1, table_k1), n=40)
+        expected = abs(poly.integ()(1.0) - poly.integ()(0.0) - quad)
+        error = checks.quadrature_transfer_error(coeffs, params_k1, table_k1)
+        assert error == pytest.approx(expected, rel=0.0, abs=1e-15)
+
+    def test_gauss_legendre_rule_built_once(self):
+        nodes, weights = checks._gauss_legendre_40()
+        assert checks._gauss_legendre_40() is checks._gauss_legendre_40()
+        assert nodes.shape == weights.shape == (40,)
+
+
+class TestTrapezoid:
+    """trapezoid_panels, summed or accumulated, reproduces scipy.integrate's
+    trapezoid and cumulative_trapezoid bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sum_and_cumulative_sum_match_scipy(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 3000))
+        x = np.sort(rng.uniform(-1.0, 2.0, n))
+        y = rng.standard_normal(n)
+        panels = trapezoid_panels(y, np.diff(x))
+        assert np.sum(panels) == trapezoid(y, x)
+        cumulative = np.concatenate(([0.0], np.cumsum(panels)))
+        assert np.array_equal(cumulative, cumulative_trapezoid(y, x, initial=0.0))
+
+    @pytest.mark.parametrize("k, x2", [(1, 0.5), (2, 0.3), (4, 0.35)])
+    def test_closed_form_and_l2_match_scipy(self, k, x2):
+        params = compute_constants(2, 10, 8, k=k)
+        table = build_psi(params)
+        sp = SliceProblem(x2_tilde=x2, params=params, table=table)
+        sol, _ = solve_slice(sp, n_nodes=101)
+        z = sol.nodes
+        z_min, z_max = sp.bounds
+        fine = np.linspace(z_min, z_max, 801)
+        g, _, _, c2 = first_order_system(sp)(fine)
+        w = cumulative_trapezoid(g / c2, fine, initial=0.0)
+        u = cumulative_trapezoid(w, fine, initial=0.0)
+        u -= (fine - z_min) / (z_max - z_min) * u[-1]
+        u_closed = np.interp(z, fine, u)
+        assert np.array_equal(reduced_closed_form(sp, z), u_closed)
+        report = compare_slice(sol, sp)
+        u_analytic = analytic_solution(x1_of_z(z, x2, params, table), x2)
+        l2_closed = float(np.sqrt(trapezoid((sol.U - u_closed) ** 2, z)))
+        l2_analytic = float(np.sqrt(trapezoid((sol.U - u_analytic) ** 2, z)))
+        assert report.l2_vs_closed_form == l2_closed
+        assert report.l2_vs_analytic == l2_analytic

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
+from kstpde import variational
 from kstpde.reduction import Field2D, analytic_solution, default_source
 from kstpde.variational import (
     direction_norm,
@@ -82,6 +83,22 @@ class TestSignFinding:
             assert np.allclose(delta.values[:, 0], 0.0, atol=1e-12)
             assert np.allclose(delta.values[:, -1], 0.0, atol=1e-12)
             assert direction_norm(delta) > 0.0
+
+
+class TestTrapezoidQuadrature:
+    """The 2-D trapezoid rule reproduces scipy.integrate.trapezoid, applied
+    over x2 and then over x1, bit for bit."""
+
+    @pytest.mark.parametrize("nx, ny", [(7, 5), (33, 49), (101, 101)])
+    def test_matches_scipy(self, nx, ny):
+        rng = np.random.default_rng(nx * ny)
+        values = rng.standard_normal((nx, ny))
+        h1, h2 = 1.0 / (nx - 1), 1.0 / (ny - 1)
+        expected = trapezoid(trapezoid(values, dx=h2, axis=1), dx=h1)
+        assert variational._integrate_2d(values, h1, h2) == expected
+        delta = random_admissible_direction(nx, ny, rng)
+        expected = np.sqrt(trapezoid(trapezoid(delta.values**2, dx=h2, axis=1), dx=h1))
+        assert direction_norm(delta) == expected
 
 
 class TestLaplacianResidual:
