@@ -20,6 +20,7 @@ from .inner import (
     psi_derivative,
     psi_eval,
     psi_inverse,
+    psi_jet,
     z_map,
 )
 from .reduction import (

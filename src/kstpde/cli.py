@@ -39,7 +39,6 @@ from .reduction import (
     export_field_csv,
     reconstruct_field,
     solve_slice,
-    x1_of_z,
 )
 
 EXIT_OK = 0
@@ -136,6 +135,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError(f"x2 values must lie in [0, 1], got {cfg.x2}")
     if cfg.mesh < 3:
         raise UsageError(f"mesh must have at least 3 nodes, got {cfg.mesh}")
+    if cfg.x2_grid < 2:
+        raise UsageError(f"x2-grid must have at least 2 rows, got {cfg.x2_grid}")
     return cfg
 
 
@@ -159,6 +160,13 @@ def write_manifest(cfg: RunConfig, artifacts: list[Path], error: Exception | Non
 def _params_and_table(cfg: RunConfig, k: int):
     params = compute_constants(cfg.n, cfg.gamma, cfg.terms, k=k)
     return params, build_psi(params)
+
+
+def _one_depth(cfg: RunConfig) -> int:
+    """The depth of solve, sweep and compare, which solve at one depth only."""
+    if len(cfg.k) > 1:
+        raise UsageError(f"this command solves at one depth, got --k {','.join(map(str, cfg.k))}")
+    return cfg.k[0]
 
 
 # --------------------------------------------------------------------------
@@ -244,11 +252,9 @@ def _solve_one(cfg: RunConfig, params, table, x2: float):
     return sp, sol
 
 
-def _slice_report(sp, sol) -> dict:
+def _report_dict(report, sol) -> dict:
     """compare_slice's distances plus the collocation residual the solve left."""
-    report = compare_slice(sol, sp).to_dict()
-    report["residual_inf"] = sol.residual_history[-1]
-    return report
+    return {**report.to_dict(), "residual_inf": sol.residual_history[-1]}
 
 
 def _tag(x2: float) -> str:
@@ -257,18 +263,16 @@ def _tag(x2: float) -> str:
 
 def _write_slice(cfg: RunConfig, sp, sol) -> list[Path]:
     x2 = sp.x2_tilde
-    x1 = x1_of_z(sol.nodes, x2, sp.params, sp.table)
+    compared = compare_slice(sol, sp)
     csv_path = cfg.out / f"slice_{_tag(x2)}.csv"
-    export_solution_csv(
-        sol, csv_path, extra_cols={"u_analytic_restriction": analytic_solution(x1, x2)}
-    )
-    report = _slice_report(sp, sol)
+    export_solution_csv(sol, csv_path, extra_cols={"u_analytic_restriction": compared.u_analytic})
+    report = _report_dict(compared, sol)
     report["residual_history"] = sol.residual_history
     return [csv_path, _write_json(cfg, f"slice_{_tag(x2)}.json", report)]
 
 
 def cmd_solve(cfg: RunConfig, args: argparse.Namespace) -> CommandResult:
-    params, table = _params_and_table(cfg, cfg.k[0])
+    params, table = _params_and_table(cfg, _one_depth(cfg))
     artifacts = []
     all_converged = True
     for x2 in cfg.x2:
@@ -279,7 +283,7 @@ def cmd_solve(cfg: RunConfig, args: argparse.Namespace) -> CommandResult:
 
 
 def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> CommandResult:
-    params, table = _params_and_table(cfg, cfg.k[0])
+    params, table = _params_and_table(cfg, _one_depth(cfg))
     rows = np.linspace(0.0, 1.0, cfg.x2_grid)
     artifacts = []
     all_converged = True
@@ -296,12 +300,12 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> CommandResult:
 
 
 def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> CommandResult:
-    params, table = _params_and_table(cfg, cfg.k[0])
+    params, table = _params_and_table(cfg, _one_depth(cfg))
     artifacts = []
     all_converged = True
     for x2 in cfg.x2:
         sp, sol = _solve_one(cfg, params, table, x2)
-        report = _slice_report(sp, sol)
+        report = _report_dict(compare_slice(sol, sp), sol)
         artifacts.append(_write_json(cfg, f"compare_{_tag(x2)}.json", report))
         print(json.dumps(report, indent=2))
         all_converged &= sol.converged

@@ -27,6 +27,7 @@ __all__ = [
     "compute_constants",
     "build_psi",
     "psi_eval",
+    "psi_jet",
     "psi_derivative",
     "psi_inverse",
     "z_map",
@@ -239,15 +240,14 @@ def psi_eval(table: PsiTable, x):
     return float(out) if out.ndim == 0 else out
 
 
-def psi_derivative(table: PsiTable, order: int, x):
-    """Forward-difference derivative of psi of the given order (1..3).
+def psi_jet(table: PsiTable, x, order: int) -> list:
+    """[psi, psi', ..., psi^(order)] at x, order 1..3, from one difference table.
 
-    Order 1 is (psi(x+D) - psi(x))/D with D = gamma**-k; higher orders
-    apply the same forward difference to the lower-order result.  psi is
-    evaluated once at each of x, x+D, ..., x+order*D, each point the
-    previous one plus D, and the table of differences is built from those
-    values.  Points past the tabulated period rely on the periodic
-    extension of psi.
+    psi is evaluated once at each of x, x+D, ..., x+order*D with
+    D = gamma**-k, each point the previous one plus D.  Entry j is the j-th
+    forward difference of those values divided by D**j, each level the
+    forward difference of the level below.  Points past the tabulated
+    period rely on the periodic extension of psi.
     """
     if order not in (1, 2, 3):
         raise ValueError(f"derivative order must be 1, 2 or 3, got {order}")
@@ -256,9 +256,17 @@ def psi_derivative(table: PsiTable, order: int, x):
     for _ in range(order):
         points.append(points[-1] + d)
     diffs = [psi_eval(table, p) for p in points]
+    jet = [diffs[0]]
     for _ in range(order):
         diffs = [(hi - lo) / d for lo, hi in zip(diffs, diffs[1:])]
-    return diffs[0]
+        jet.append(diffs[0])
+    return jet
+
+
+def psi_derivative(table: PsiTable, order: int, x):
+    """Forward-difference derivative of psi of the given order (1..3):
+    the last entry of ``psi_jet(table, x, order)``."""
+    return psi_jet(table, x, order)[order]
 
 
 def psi_eval_exact(table: PsiTable, x: Fraction) -> Fraction:
@@ -333,8 +341,5 @@ def export_psi_csv(table: PsiTable, path) -> None:
 def export_derivs_csv(table: PsiTable, xs, path) -> None:
     """Write x,psi,dpsi,d2psi rows at the given query points."""
     xs = np.asarray(xs, dtype=float)
-    p0 = psi_eval(table, xs)
-    p1 = psi_derivative(table, 1, xs)
-    p2 = psi_derivative(table, 2, xs)
-    columns = [np.atleast_1d(c) for c in (xs, p0, p1, p2)]
+    columns = [np.atleast_1d(c) for c in (xs, *psi_jet(table, xs, 2))]
     write_csv(path, ["x", "psi", "dpsi", "d2psi"], np.column_stack(columns))

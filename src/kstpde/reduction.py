@@ -10,7 +10,7 @@ with psi-dependent coefficients, Dirichlet-zero endpoint conditions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -21,9 +21,9 @@ from .inner import (
     KstParams,
     MonotonicityError,
     PsiTable,
-    psi_derivative,
     psi_eval,
     psi_inverse,
+    psi_jet,
 )
 
 __all__ = [
@@ -79,6 +79,10 @@ class SliceProblem:
     def __post_init__(self):
         if not 0.0 <= self.x2_tilde <= 1.0:
             raise ValueError(f"x2_tilde must lie in [0, 1], got {self.x2_tilde}")
+        if self.params.n < 2:
+            raise ValueError(
+                f"n={self.params.n}: the slice reduction needs alpha_2, so n must be >= 2"
+            )
         # psi_inverse interpolates over the float64 view of the table, which
         # loses strict monotonicity once node increments drop below rounding
         flat = np.flatnonzero(~(np.diff(self.table.values) > 0.0))
@@ -87,7 +91,7 @@ class SliceProblem:
             nodes, values = self.table.nodes, self.table.values
             raise MonotonicityError(nodes[i], values[i], nodes[i + 1], values[i + 1])
 
-    @property
+    @cached_property
     def bounds(self) -> tuple[float, float]:
         return slice_bounds(self.x2_tilde, self.params, self.table)
 
@@ -97,14 +101,9 @@ class SliceProblem:
         return boundary_conditions(self)
 
     @cached_property
-    def dpsi_x2(self) -> float:
-        """psi'(x2~), constant along the slice."""
-        return psi_derivative(self.table, 1, self.x2_tilde)
-
-    @cached_property
-    def d2psi_x2(self) -> float:
-        """psi''(x2~), constant along the slice."""
-        return psi_derivative(self.table, 2, self.x2_tilde)
+    def jet_x2(self) -> list[float]:
+        """psi, psi' and psi'' at x2~, constant along the slice."""
+        return psi_jet(self.table, self.x2_tilde, 2)
 
 
 def slice_bounds(x2_tilde: float, params: KstParams, table: PsiTable):
@@ -128,51 +127,47 @@ def x1_of_z(z, x2_tilde: float, params: KstParams, table: PsiTable):
     return psi_inverse(table, y)
 
 
-def _x1_and_dpsi(z, x2_tilde: float, params: KstParams, table: PsiTable):
-    """x1(z) on the slice and psi'(x1), which the change of variables divides by."""
+def _x1_jet(z, x2_tilde: float, params: KstParams, table: PsiTable, order: int):
+    """x1(z) on the slice and psi_jet at x1 up to ``order``.  The change of
+    variables divides by psi'(x1), so a vanishing psi' is rejected here."""
     x1 = x1_of_z(z, x2_tilde, params, table)
-    dpsi = psi_derivative(table, 1, x1)
-    if np.any(np.asarray(dpsi) == 0.0):
+    jet = psi_jet(table, x1, order)
+    if np.any(np.asarray(jet[1]) == 0.0):
         raise SingularJacobianError(f"psi' vanishes at x1={x1} (z={z}, x2~={x2_tilde})")
-    return x1, dpsi
+    return x1, jet
 
 
 def jacobian_factor(z, x2_tilde: float, params: KstParams, table: PsiTable):
     """Change-of-variables factor dx1/dz = 1/(alpha_1 psi'(x1(z)))."""
-    _, dpsi = _x1_and_dpsi(z, x2_tilde, params, table)
+    _, (_, dpsi) = _x1_jet(z, x2_tilde, params, table, 1)
     return 1.0 / (params.alpha_float[0] * dpsi)
 
 
-def _x1_g_c2(slice_problem: SliceProblem, z):
-    """x1(z), psi'(x1) and the coefficients g and c2, which need no more psi data."""
-    params, table = slice_problem.params, slice_problem.table
-    x2t = slice_problem.x2_tilde
-    a1, a2 = params.alpha_float[:2]
-    x1, d1 = _x1_and_dpsi(z, x2t, params, table)
-    g = slice_problem.rhs(x1, x2t) / (a1 * d1)
-    c2 = (a1**2 * d1**2 + a2**2 * slice_problem.dpsi_x2**2) / (a1 * d1)
-    return x1, d1, g, c2
+def _g_c2(slice_problem: SliceProblem, x1, d1):
+    """The coefficients g and c2 at x1, which need no psi data beyond d1 = psi'(x1)."""
+    a1, a2 = slice_problem.params.alpha_float[:2]
+    g = slice_problem.rhs(x1, slice_problem.x2_tilde) / (a1 * d1)
+    c2 = (a1**2 * d1**2 + a2**2 * slice_problem.jet_x2[1] ** 2) / (a1 * d1)
+    return g, c2
 
 
 def first_order_system(slice_problem: SliceProblem) -> Callable:
     """The callable z -> (g, c1, c0, c2) of the slice ODE c2 U'' + c1 U' +
     c0 U = g, which the slice BVP evaluates once on its mesh.
 
-    One call makes one pass over the psi data: x1(z), then psi', psi'',
-    psi''' and psi at x1.  The solver divides by c2, so a vanishing c2 is
+    One call makes one pass over the psi data: x1(z), then one order-3
+    psi_jet at x1.  The solver divides by c2, so a vanishing c2 is
     rejected here.
     """
-    table = slice_problem.table
-    a1, a2 = slice_problem.params.alpha_float[:2]
-    p1_x2, p2_x2 = slice_problem.dpsi_x2, slice_problem.d2psi_x2
+    params, table = slice_problem.params, slice_problem.table
+    a1, a2 = params.alpha_float[:2]
+    _, p1_x2, p2_x2 = slice_problem.jet_x2
 
     def coefficients(z):
-        x1, d1, g, c2 = _x1_g_c2(slice_problem, z)
+        x1, (p0, d1, d2, d3) = _x1_jet(z, slice_problem.x2_tilde, params, table, 3)
+        g, c2 = _g_c2(slice_problem, x1, d1)
         if np.any(c2 == 0.0):
             raise SingularJacobianError("c2 vanishes on the mesh; system is singular")
-        d2 = psi_derivative(table, 2, x1)
-        d3 = psi_derivative(table, 3, x1)
-        p0 = psi_eval(table, x1)
         c1 = (a1**2 * d1**2 * d2 - a2**2 * p1_x2**2 * d2) / (a1**2 * d1**3)
         num = a1 * a2 * d1**2 * d2 * p2_x2 + a2**2 * p1_x2**2 * (3.0 * d2 - p0 * d3)
         return g, c1, num / (a1**3 * d1**5), c2
@@ -180,27 +175,20 @@ def first_order_system(slice_problem: SliceProblem) -> Callable:
     return coefficients
 
 
-def _endpoint_bracket(slice_problem: SliceProblem, x1_end: float):
-    table = slice_problem.table
-    a1, a2 = slice_problem.params.alpha_float[:2]
-    d1 = psi_derivative(table, 1, x1_end)
-    d2 = psi_derivative(table, 2, x1_end)
-    p1_x2, p2_x2 = slice_problem.dpsi_x2, slice_problem.d2psi_x2
-    return (
-        (a2**2 * p1_x2**2 * d2 + a1 * a2 * d1**2 * p2_x2) / (a1**2 * d1**3)
-        + a1 * d1
-        + a2**2 * p1_x2**2 / (a1 * d1)
-    )
-
-
 def boundary_conditions(slice_problem: SliceProblem) -> tuple[float, float]:
-    """The (left, right) endpoint brackets of a slice.
+    """The (left, right) endpoint brackets of a slice, at x1 = 0 and 1.
 
     The printed brackets multiply U at z_min/z_max; when nonzero they
     reduce to the Dirichlet-zero ends the BVP solver imposes.
     """
-    left = float(_endpoint_bracket(slice_problem, 0.0))
-    right = float(_endpoint_bracket(slice_problem, 1.0))
+    a1, a2 = slice_problem.params.alpha_float[:2]
+    _, p1_x2, p2_x2 = slice_problem.jet_x2
+    _, d1, d2 = psi_jet(slice_problem.table, np.array([0.0, 1.0]), 2)
+    left, right = (
+        (a2**2 * p1_x2**2 * d2 + a1 * a2 * d1**2 * p2_x2) / (a1**2 * d1**3)
+        + a1 * d1
+        + a2**2 * p1_x2**2 / (a1 * d1)
+    ).tolist()
     for name, val in (("left", left), ("right", right)):
         if abs(val) < 1e-12:
             raise DegenerateBoundaryError(
@@ -247,9 +235,11 @@ def reduced_closed_form(
     identity inner table at depth 1.  Integration runs on a mesh refined
     by ``refine`` relative to z_nodes, then samples back.
     """
+    params, table = slice_problem.params, slice_problem.table
     z_min, z_max = slice_problem.bounds
     fine = np.linspace(z_min, z_max, refine * (len(z_nodes) - 1) + 1)
-    _, _, g, c2 = _x1_g_c2(slice_problem, fine)
+    x1, (_, d1) = _x1_jet(fine, slice_problem.x2_tilde, params, table, 1)
+    g, c2 = _g_c2(slice_problem, x1, d1)
     rhs = g / c2
     steps = np.diff(fine)
     w = np.concatenate(([0.0], np.cumsum(trapezoid_panels(rhs, steps))))
@@ -261,7 +251,11 @@ def reduced_closed_form(
 
 @dataclass(frozen=True)
 class SliceReport:
-    """Distances of a solved slice against its two references."""
+    """Distances of a solved slice against its two references.
+
+    ``u_analytic`` is the analytic restriction u(x1(z), x2~) on the
+    solution's nodes; ``to_dict`` leaves it out.
+    """
 
     x2_tilde: float
     z_min: float
@@ -277,9 +271,10 @@ class SliceReport:
     amplitude_ratio: float
     extremum_z_numeric: float
     extremum_z_analytic: float
+    u_analytic: np.ndarray = field(repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
+        return {k: getattr(self, k) for k in self.__dataclass_fields__ if k != "u_analytic"}
 
 
 def _l2(values: np.ndarray, z: np.ndarray) -> float:
@@ -322,6 +317,7 @@ def compare_slice(solution: BvpSolution, slice_problem: SliceProblem) -> SliceRe
         amplitude_ratio=ratio,
         extremum_z_numeric=float(z[i_num]),
         extremum_z_analytic=float(z[i_an]),
+        u_analytic=u_analytic,
     )
 
 

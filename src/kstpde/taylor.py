@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .combinatorics import bell_polynomial
-from .inner import KstParams, PsiTable, psi_derivative, psi_eval, z_map
+from .inner import KstParams, PsiTable, psi_eval, psi_jet, z_map
 
 __all__ = [
     "OuterFunctionSet",
@@ -104,9 +104,10 @@ def bell_tilde(
             "difference derivatives are supported up to order 3"
         )
     alpha = params.alpha_float
+    # length < 1 means k > m, which bell_polynomial rejects
+    jets = [psi_jet(table, x_p, length) for x_p in x] if length >= 1 else []
     args = [
-        sum(a_p * psi_derivative(table, i, x_p) for a_p, x_p in zip(alpha, x))
-        for i in range(1, length + 1)
+        sum(a_p * jet[i] for a_p, jet in zip(alpha, jets)) for i in range(1, length + 1)
     ]
     return bell_polynomial(m, k, args)
 

@@ -18,7 +18,7 @@ from kstpde import cli
 from kstpde.bvp import SingularMatrixError, ode_residual
 from kstpde.cli import main
 from kstpde.inner import build_psi, compute_constants
-from kstpde.reduction import SliceProblem, solve_slice
+from kstpde.reduction import SliceProblem, compare_slice, solve_slice
 
 
 def run(tmp_path, *argv):
@@ -129,6 +129,18 @@ class TestSolve:
 
     def test_tiny_mesh_is_usage_error(self, tmp_path):
         assert run(tmp_path, "solve", "--mesh", "2") == 2
+
+    def test_csv_restriction_is_the_compared_array(self, tmp_path):
+        assert run(tmp_path, "solve", "--k", "2", "--x2", "0.3", "--mesh", "201") == 0
+        with open(tmp_path / "out" / "slice_0p3.csv") as fh:
+            column = [float(r["u_analytic_restriction"]) for r in csv.DictReader(fh)]
+        params = compute_constants(2, 10, 8, k=2)
+        sp = SliceProblem(x2_tilde=0.3, params=params, table=build_psi(params))
+        sol, _ = solve_slice(sp, n_nodes=201)
+        report = compare_slice(sol, sp)
+        assert report.linf_vs_analytic == np.max(np.abs(sol.U - report.u_analytic))
+        assert np.array_equal(column, report.u_analytic)
+        assert "u_analytic" not in json.loads((tmp_path / "out" / "slice_0p3.json").read_text())
 
     @pytest.mark.filterwarnings("error")
     def test_depth_4_slice_exits_1_with_report(self, tmp_path, capsys):
@@ -245,6 +257,31 @@ class TestSweepCompareVerify:
         assert "FAIL" not in out
         checks = json.loads((tmp_path / "out" / "verify.json").read_text())
         assert all(c["pass"] for c in checks.values())
+
+
+class TestSlicePathUsageErrors:
+    @pytest.mark.parametrize("command", ["solve", "sweep", "compare", "verify"])
+    def test_one_dimension_is_usage_error(self, tmp_path, capsys, command):
+        assert run(tmp_path, command, "--n", "1", "--gamma", "4") == 2
+        err = capsys.readouterr().err
+        assert "n=1" in err and "alpha_2" in err
+        assert not any((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize("command", ["psi", "constants"])
+    def test_one_dimension_tables_still_work(self, tmp_path, command):
+        assert run(tmp_path, command, "--n", "1", "--gamma", "4") == 0
+
+    @pytest.mark.parametrize("command", ["solve", "sweep", "compare"])
+    def test_depth_list_is_usage_error(self, tmp_path, capsys, command):
+        assert run(tmp_path, command, "--k", "1,2", "--mesh", "101") == 2
+        assert "--k 1,2" in capsys.readouterr().err
+        assert not any((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize("rows", ["0", "1", "-3"])
+    def test_short_x2_grid_is_usage_error(self, tmp_path, capsys, rows):
+        assert run(tmp_path, "sweep", "--x2-grid", rows) == 2
+        assert f"at least 2 rows, got {rows}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestConfigFile:

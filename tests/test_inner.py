@@ -22,6 +22,7 @@ from kstpde.inner import (
     psi_eval_exact,
     psi_inverse,
     psi_inverse_exact,
+    psi_jet,
     z_map,
 )
 
@@ -245,6 +246,25 @@ class TestPsiDerivative:
                 value = psi_derivative(table, order, x)
                 assert type(value) is float
                 assert value == recursive_derivative(table, order, x)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_jet_entries_equal_eval_and_derivative(self, k):
+        table = build_psi(compute_constants(2, 10, 8, k=k))
+        d = table.delta
+        edges = [0.0, d, 1.0 - 3 * d, 1.0 - 2 * d, 1.0 - d, np.nextafter(1.0, 0.0), 1.0]
+        xs = np.concatenate([np.random.default_rng(k).uniform(0.0, 1.0, 5000), edges])
+        for order in (1, 2, 3):
+            jet = psi_jet(table, xs, order)
+            assert len(jet) == order + 1
+            assert np.array_equal(jet[0], psi_eval(table, xs))
+            for j in range(1, order + 1):
+                assert np.array_equal(jet[j], psi_derivative(table, j, xs))
+            for x in edges:
+                jet = psi_jet(table, x, order)
+                assert all(type(v) is float for v in jet)
+                assert jet == [psi_eval(table, x)] + [
+                    psi_derivative(table, j, x) for j in range(1, order + 1)
+                ]
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_one_psi_evaluation_per_point_set(self, table_k4, order, monkeypatch):

@@ -18,6 +18,7 @@ from kstpde.inner import (
     psi_derivative,
     psi_eval,
     psi_inverse,
+    psi_jet,
 )
 from kstpde.reduction import (
     DegenerateBoundaryError,
@@ -132,20 +133,20 @@ def separate_formulas(sp, z):
 
 
 def counting_psi_calls(monkeypatch):
-    """Wrap psi_inverse and psi_derivative where kstpde.reduction calls them;
-    the returned list collects (name, derivative order or None, argument size)."""
+    """Wrap psi_inverse and psi_jet where kstpde.reduction calls them; the
+    returned list collects (name, jet order or None, argument size)."""
     calls = []
 
     def inverse(table, y):
         calls.append(("psi_inverse", None, np.size(y)))
         return psi_inverse(table, y)
 
-    def derivative(table, order, x):
-        calls.append(("psi_derivative", order, np.size(x)))
-        return psi_derivative(table, order, x)
+    def jet(table, x, order):
+        calls.append(("psi_jet", order, np.size(x)))
+        return psi_jet(table, x, order)
 
     monkeypatch.setattr(reduction, "psi_inverse", inverse)
-    monkeypatch.setattr(reduction, "psi_derivative", derivative)
+    monkeypatch.setattr(reduction, "psi_jet", jet)
     return calls
 
 
@@ -184,25 +185,23 @@ class TestOdeCoefficients:
 
     def test_one_psi_pass_per_evaluation(self, params_k4, table_k4, monkeypatch):
         sp = SliceProblem(x2_tilde=0.35, params=params_k4, table=table_k4)
-        coefficients = first_order_system(sp)  # psi'(x2~), psi''(x2~) once per slice
+        coefficients = first_order_system(sp)  # the jet at x2~, once per slice
         calls = counting_psi_calls(monkeypatch)
         coefficients(np.linspace(*sp.bounds, 101))
         assert sorted(calls, key=str) == [
-            ("psi_derivative", 1, 101),
-            ("psi_derivative", 2, 101),
-            ("psi_derivative", 3, 101),
             ("psi_inverse", None, 101),
+            ("psi_jet", 3, 101),
         ]
 
     def test_closed_form_needs_only_x1_and_psi_prime(self, params_k4, table_k4, monkeypatch):
         sp = SliceProblem(x2_tilde=0.35, params=params_k4, table=table_k4)
         calls = counting_psi_calls(monkeypatch)
         reduced_closed_form(sp, np.linspace(*sp.bounds, 101))
-        # one pass on the 8x-refined mesh of 801 nodes, plus psi'(x2~)
+        # one pass on the 8x-refined mesh of 801 nodes, plus the jet at x2~
         assert sorted(calls, key=str) == [
-            ("psi_derivative", 1, 1),
-            ("psi_derivative", 1, 801),
             ("psi_inverse", None, 801),
+            ("psi_jet", 1, 801),
+            ("psi_jet", 2, 1),
         ]
 
 
@@ -271,6 +270,26 @@ class TestBoundaryConditions:
         expected = a1 + a2**2 / a1
         assert left == pytest.approx(expected, rel=1e-9)
         assert right == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("k, x2", [(1, 0.5), (2, 0.3), (4, 0.25), (4, 0.77)])
+    def test_equal_per_end_scalar_formula(self, k, x2):
+        params = compute_constants(2, 10, 8, k=k)
+        sp = SliceProblem(x2_tilde=x2, params=params, table=build_psi(params))
+        a1, a2 = params.alpha_float[:2]
+        p1_x2 = psi_derivative(sp.table, 1, x2)
+        p2_x2 = psi_derivative(sp.table, 2, x2)
+        expected = []
+        for x1_end in (0.0, 1.0):
+            d1 = psi_derivative(sp.table, 1, x1_end)
+            d2 = psi_derivative(sp.table, 2, x1_end)
+            expected.append(
+                (a2**2 * p1_x2**2 * d2 + a1 * a2 * d1**2 * p2_x2) / (a1**2 * d1**3)
+                + a1 * d1
+                + a2**2 * p1_x2**2 / (a1 * d1)
+            )
+        brackets = boundary_conditions(sp)
+        assert all(type(b) is float for b in brackets)
+        assert brackets == tuple(expected)
 
     def test_k4_brackets_nonzero(self, params_k4, table_k4):
         sp = SliceProblem(x2_tilde=0.25, params=params_k4, table=table_k4)
