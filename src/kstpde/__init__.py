@@ -2,13 +2,7 @@
 boundary value problem to one-dimensional ODE boundary value problems."""
 
 from .bvp import BvpProblem, BvpSolution, newton_solve, ode_residual
-from .combinatorics import (
-    DerivativeJet,
-    MultiIndex,
-    bell_polynomial,
-    enumerate_partitions,
-    faa_di_bruno,
-)
+from .combinatorics import bell_polynomial, enumerate_partitions, faa_di_bruno
 from .inner import (
     GridD,
     KstParams,
@@ -32,11 +26,10 @@ from .reduction import (
     first_order_system,
     jacobian_factor,
     reconstruct_field,
-    slice_bounds,
     solve_slice,
     x1_of_z,
 )
-from .taylor import OuterFunctionSet, TaylorConfig, bell_tilde, taylor_kst_eval
+from .taylor import OuterFunctionSet, bell_tilde, taylor_kst_eval
 from .variational import find_sign_convention, first_variation, functional_value
 
 __version__ = "0.1.0"

@@ -82,18 +82,17 @@ class BvpSolution:
 
 
 def _residual(problem: BvpProblem, state: np.ndarray) -> np.ndarray:
-    """Trapezoid collocation residual of the stacked state (U, W)."""
-    n = problem.n_nodes
-    z = problem.nodes
-    h = z[1] - z[0]
+    """Trapezoid collocation residual of the interleaved state (U0, W0, U1,
+    W1, ...), its rows in the order of ``_collocation_band``."""
+    h = problem.nodes[1] - problem.nodes[0]
     g, c1, c0, c2 = problem.mesh_coefficients
-    U, W = state[:n], state[n:]
+    U, W = state[0::2], state[1::2]
     dW = (g - c1 * W - c0 * U) / c2
-    r = np.empty(2 * n)
+    r = np.empty_like(state)
     r[0] = U[0]
-    r[1:n] = U[1:] - U[:-1] - 0.5 * h * (W[1:] + W[:-1])
-    r[n : 2 * n - 1] = W[1:] - W[:-1] - 0.5 * h * (dW[1:] + dW[:-1])
-    r[2 * n - 1] = U[-1]
+    r[1:-1:2] = U[1:] - U[:-1] - 0.5 * h * (W[1:] + W[:-1])
+    r[2:-1:2] = W[1:] - W[:-1] - 0.5 * h * (dW[1:] + dW[:-1])
+    r[-1] = U[-1]
     return r
 
 
@@ -150,24 +149,18 @@ def newton_solve(problem: BvpProblem, tol: float = 1e-10) -> BvpSolution:
     tol.  A residual left above tol is reported through ``converged=False``,
     not raised.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    n = problem.n_nodes
-    state = np.zeros(2 * n)
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be a finite number above 0, got {tol}")
+    state = np.zeros(2 * problem.n_nodes)
     r = _residual(problem, state)
     history = [float(np.max(np.abs(r)))]
     if history[0] > tol:
-        # residual rows into band order, then the interleaved step back to (U, W)
-        rhs = np.empty(2 * n)
-        rhs[0], rhs[-1] = -r[0], -r[-1]
-        rhs[1:-1:2], rhs[2:-1:2] = -r[1:n], -r[n:-1]
-        step = _solve_linear(_collocation_band(problem), rhs)
-        state = np.concatenate([step[0::2], step[1::2]])
+        state = _solve_linear(_collocation_band(problem), -r)
         history.append(float(np.max(np.abs(_residual(problem, state)))))
     return BvpSolution(
         nodes=problem.nodes,
-        U=state[:n],
-        W=state[n:],
+        U=state[0::2],
+        W=state[1::2],
         iterations=len(history) - 1,
         residual_history=history,
         converged=history[-1] <= tol,
@@ -180,7 +173,7 @@ def ode_residual(solution: BvpSolution, problem: BvpProblem) -> float:
         solution.nodes, problem.nodes
     ):
         raise ValueError("solution mesh does not match problem mesh")
-    state = np.concatenate([solution.U, solution.W])
+    state = np.column_stack([solution.U, solution.W]).ravel()
     return float(np.max(np.abs(_residual(problem, state))))
 
 

@@ -16,10 +16,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combinatorics import DerivativeJet, bell_polynomial, enumerate_partitions, faa_di_bruno
+from .combinatorics import bell_polynomial, enumerate_partitions, faa_di_bruno
 from .inner import KstParams, PsiTable, build_psi, compute_constants
-from .reduction import analytic_solution, default_source, jacobian_factor, slice_bounds, x1_of_z
-from .taylor import OuterFunctionSet, TaylorConfig, shifted_exact_eval, taylor_kst_eval
+from .reduction import SliceProblem, analytic_solution, default_source, jacobian_factor, x1_of_z
+from .taylor import OuterFunctionSet, shifted_exact_eval, taylor_kst_eval
 from .variational import laplacian_residual
 
 BELL_NUMBERS = (1, 1, 2, 5, 15, 52, 203, 877, 4140)  # set partitions of 0..8 items
@@ -72,7 +72,7 @@ def partitions_complete(ms) -> bool:
     """enumerate_partitions(m, k) equals the brute-force filter, in order,
     for every m in ``ms`` and k <= m."""
     return all(
-        [mi.j for mi in enumerate_partitions(m, k)] == brute_force_partitions(m, k)
+        enumerate_partitions(m, k) == brute_force_partitions(m, k)
         for m in ms
         for k in range(m + 1)
     )
@@ -116,7 +116,7 @@ def faa_di_bruno_vs_fd(case: str, m: int, x: float) -> tuple[float, float]:
             (-1.0) ** (j - 1) * math.factorial(j - 1) / y**j for j in range(1, m + 1)
         ]
         g_jet = ([2.0 * x, 2.0] + [0.0] * m)[:m]
-    got = faa_di_bruno(m, DerivativeJet(tuple(f_jet)), DerivativeJet(tuple(g_jet)))
+    got = faa_di_bruno(m, f_jet, g_jet)
     return got, central_fd(_COMPOSITIONS[case], x, m)
 
 
@@ -169,7 +169,7 @@ def taylor_order(
         max(
             abs(
                 shifted_exact_eval(outer, x, a, table, params)
-                - taylor_kst_eval(outer, x, TaylorConfig(M=M, a_override=a), table, params)
+                - taylor_kst_eval(outer, x, M, table, params, a=a)
             )
             for x in TAYLOR_POINTS
         )
@@ -191,11 +191,11 @@ def quadrature_transfer_error(coeffs, params: KstParams, table: PsiTable) -> flo
     """|int_0^1 p dx1 - int p(x1(z)) dx1/dz dz| on the slice x2 = 0.37,
     the z integral by 40-point Gauss-Legendre."""
     poly = np.polynomial.Polynomial(coeffs)
-    z_min, z_max = slice_bounds(QUADRATURE_X2, params, table)
+    sp = SliceProblem(x2_tilde=QUADRATURE_X2, params=params, table=table)
+    z_min, z_max = sp.bounds
     nodes, weights = _gauss_legendre_40()
     z = (z_max - z_min) * (nodes + 1.0) / 2.0 + z_min
-    x1 = x1_of_z(z, QUADRATURE_X2, params, table)
-    integrand = poly(x1) * jacobian_factor(z, QUADRATURE_X2, params, table)
+    integrand = poly(x1_of_z(z, sp)) * jacobian_factor(z, sp)
     transferred = (z_max - z_min) / 2.0 * np.sum(weights * integrand)
     direct = poly.integ()(1.0) - poly.integ()(0.0)
     return float(abs(direct - transferred))

@@ -135,6 +135,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError(f"x2 values must lie in [0, 1], got {cfg.x2}")
     if cfg.mesh < 3:
         raise UsageError(f"mesh must have at least 3 nodes, got {cfg.mesh}")
+    if not 0.0 < cfg.tol < np.inf:
+        raise UsageError(f"--tol must be a finite number above 0, got {cfg.tol}")
     if cfg.x2_grid < 2:
         raise UsageError(f"x2-grid must have at least 2 rows, got {cfg.x2_grid}")
     return cfg
@@ -225,6 +227,8 @@ def cmd_constants(cfg: RunConfig, args: argparse.Namespace) -> CommandResult:
 
 
 def cmd_bell(cfg: RunConfig, args: argparse.Namespace) -> CommandResult:
+    if args.max_m < 0:
+        raise UsageError(f"--max-m must be >= 0, got {args.max_m}")
     path = cfg.out / "bell_partitions.csv"
     combinatorics.export_partitions_csv(args.max_m, path)
     return [path], True
@@ -232,6 +236,10 @@ def cmd_bell(cfg: RunConfig, args: argparse.Namespace) -> CommandResult:
 
 def cmd_taylor_check(cfg: RunConfig, args: argparse.Namespace) -> CommandResult:
     """Truncation-order study with cubic outer functions and identity table."""
+    dims = len(checks.TAYLOR_POINTS[0])
+    if cfg.n != dims:
+        raise UsageError(f"taylor-check evaluates at {dims}-D points, so it needs n = {dims}, "
+                         f"got --n {cfg.n}")
     params, table = _params_and_table(cfg, 1)
     outer = checks.cubic_outer(7, 2 * cfg.n + 1)
     fits = {M: checks.taylor_order(outer, M, params, table) for M in (0, 1, 2)}

@@ -1,6 +1,6 @@
 """Partial Bell polynomials and higher-order chain-rule derivatives.
 
-Partition multi-indices are enumerated exactly in integer arithmetic;
+Partitions, as block-count tuples, are enumerated exactly in integer arithmetic;
 the multinomial weights are computed as exact integers and converted to
 float only at the final multiplication.
 """
@@ -9,12 +9,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 __all__ = [
-    "MultiIndex",
-    "DerivativeJet",
     "enumerate_partitions",
     "bell_polynomial",
     "faa_di_bruno",
@@ -22,38 +19,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MultiIndex:
-    """Block-count vector (j_1, ..., j_{m-k+1}) of a constrained partition.
-
-    Satisfies sum(j) = k and sum(i * j_i) = m.
-    """
-
-    j: tuple[int, ...]
-
-    def __iter__(self):
-        return iter(self.j)
-
-    def __len__(self):
-        return len(self.j)
-
-
-@dataclass(frozen=True)
-class DerivativeJet:
-    """First derivatives of a univariate function at a point.
-
-    Whether index 0 holds the value or the first derivative is set by the
-    contract of the consuming operation.
-    """
-
-    values: tuple[float, ...]
-
-    def __len__(self):
-        return len(self.values)
-
-
-def enumerate_partitions(m: int, k: int) -> list[MultiIndex]:
-    """All multi-indices of length m-k+1 with sum j = k and sum i*j_i = m.
+def enumerate_partitions(m: int, k: int) -> list[tuple[int, ...]]:
+    """All block-count tuples (j_1, ..., j_{m-k+1}) of the constrained
+    partitions of m into k blocks: sum j = k and sum i*j_i = m.
 
     Recursive descent with pruning on both constraints; returned in
     lexicographic order of the j-vector.
@@ -63,12 +31,12 @@ def enumerate_partitions(m: int, k: int) -> list[MultiIndex]:
     if k > m:
         raise ValueError(f"k={k} exceeds m={m}: no partitions exist")
     length = m - k + 1
-    out: list[MultiIndex] = []
+    out: list[tuple[int, ...]] = []
 
     def descend(pos: int, prefix: list[int], blocks_left: int, weight_left: int):
         if pos == length:
             if blocks_left == 0 and weight_left == 0:
-                out.append(MultiIndex(tuple(prefix)))
+                out.append(tuple(prefix))
             return
         i = pos + 1
         # remaining positions can absorb at most blocks_left * length weight
@@ -86,16 +54,16 @@ def enumerate_partitions(m: int, k: int) -> list[MultiIndex]:
             prefix.pop()
 
     descend(0, [], k, m)
-    out.sort(key=lambda mi: mi.j)
+    out.sort()
     return out
 
 
-def _partition_coefficient(m: int, mi: MultiIndex) -> int:
+def _partition_coefficient(m: int, j: tuple[int, ...]) -> int:
     """m! / (prod j_i! * prod (i!)^j_i), the number of set partitions
     with the given block-size multiplicities.  Exact integer."""
     num = math.factorial(m)
     den = 1
-    for i, j_i in enumerate(mi.j, start=1):
+    for i, j_i in enumerate(j, start=1):
         den *= math.factorial(j_i) * math.factorial(i) ** j_i
     coeff, rem = divmod(num, den)
     assert rem == 0
@@ -110,16 +78,16 @@ def bell_polynomial(m: int, k: int, args: Sequence[float]) -> float:
             f"B_{{{m},{k}}} needs at least {length} arguments, got {len(args)}"
         )
     total = 0.0
-    for mi in enumerate_partitions(m, k):
-        term = float(_partition_coefficient(m, mi))
-        for i, j_i in enumerate(mi.j, start=1):
+    for j in enumerate_partitions(m, k):
+        term = float(_partition_coefficient(m, j))
+        for i, j_i in enumerate(j, start=1):
             if j_i:
                 term *= args[i - 1] ** j_i
         total += term
     return total
 
 
-def faa_di_bruno(m: int, f_jet: DerivativeJet, g_jet: DerivativeJet) -> float:
+def faa_di_bruno(m: int, f_jet: Sequence[float], g_jet: Sequence[float]) -> float:
     """m-th derivative of f(g(x)) from jets of f and g.
 
     ``f_jet`` holds f^(0..m) evaluated at g(x) (length m+1); ``g_jet``
@@ -132,10 +100,10 @@ def faa_di_bruno(m: int, f_jet: DerivativeJet, g_jet: DerivativeJet) -> float:
     if len(g_jet) < m:
         raise ValueError(f"g_jet must hold g^(1..{m}), got length {len(g_jet)}")
     if m == 0:
-        return f_jet.values[0]
+        return f_jet[0]
     total = 0.0
     for k in range(1, m + 1):  # B_{m,0} = 0 for m > 0
-        total += f_jet.values[k] * bell_polynomial(m, k, g_jet.values)
+        total += f_jet[k] * bell_polynomial(m, k, g_jet)
     return total
 
 
@@ -146,7 +114,5 @@ def export_partitions_csv(max_m: int, path) -> None:
         w.writerow(["m", "k", "partition", "count"])
         for m in range(max_m + 1):
             for k in range(m + 1):
-                for mi in enumerate_partitions(m, k):
-                    w.writerow(
-                        [m, k, " ".join(map(str, mi.j)), _partition_coefficient(m, mi)]
-                    )
+                for j in enumerate_partitions(m, k):
+                    w.writerow([m, k, " ".join(map(str, j)), _partition_coefficient(m, j)])

@@ -33,7 +33,6 @@ __all__ = [
     "DegenerateBoundaryError",
     "SingularJacobianError",
     "default_source",
-    "slice_bounds",
     "x1_of_z",
     "jacobian_factor",
     "first_order_system",
@@ -69,7 +68,11 @@ def analytic_solution(x1, x2):
 
 @dataclass(frozen=True)
 class SliceProblem:
-    """Reduced problem at fixed second coordinate."""
+    """Reduced problem at fixed second coordinate.
+
+    It owns the slice geometry: psi at x2~ is evaluated once, in
+    ``jet_x2``, and ``bounds`` and everything downstream read it.
+    """
 
     x2_tilde: float
     params: KstParams
@@ -93,7 +96,10 @@ class SliceProblem:
 
     @cached_property
     def bounds(self) -> tuple[float, float]:
-        return slice_bounds(self.x2_tilde, self.params, self.table)
+        """z-interval of the slice: [alpha_2 psi(x2~), alpha_1 + alpha_2 psi(x2~)]."""
+        a1, a2 = self.params.alpha_float[:2]
+        z_min = a2 * self.jet_x2[0]
+        return z_min, a1 + z_min
 
     @cached_property
     def brackets(self) -> tuple[float, float]:
@@ -106,41 +112,33 @@ class SliceProblem:
         return psi_jet(self.table, self.x2_tilde, 2)
 
 
-def slice_bounds(x2_tilde: float, params: KstParams, table: PsiTable):
-    """z-interval of the slice: [alpha_2 psi(x2~), alpha_1 + alpha_2 psi(x2~)]."""
-    if not 0.0 <= x2_tilde <= 1.0:
-        raise ValueError(f"x2_tilde must lie in [0, 1], got {x2_tilde}")
-    a1, a2 = params.alpha_float[:2]
-    z_min = a2 * psi_eval(table, x2_tilde)
-    return z_min, a1 + z_min
-
-
-def x1_of_z(z, x2_tilde: float, params: KstParams, table: PsiTable):
+def x1_of_z(z, slice_problem: SliceProblem):
     """Invert the aggregate variable on a slice: x1 = psi^-1((z - z_min)/alpha_1)."""
-    z_min, z_max = slice_bounds(x2_tilde, params, table)
+    z_min, z_max = slice_problem.bounds
     z_arr = np.asarray(z, dtype=float)
     eps = 1e-12 * (1.0 + abs(z_max))
     if np.any(z_arr < z_min - eps) or np.any(z_arr > z_max + eps):
         raise ValueError(f"z={z} outside slice bounds [{z_min}, {z_max}]")
-    a1 = params.alpha_float[0]
-    y = np.clip((z_arr - z_min) / a1, 0.0, 1.0)
-    return psi_inverse(table, y)
+    y = np.clip((z_arr - z_min) / slice_problem.params.alpha_float[0], 0.0, 1.0)
+    return psi_inverse(slice_problem.table, y)
 
 
-def _x1_jet(z, x2_tilde: float, params: KstParams, table: PsiTable, order: int):
+def _x1_jet(z, slice_problem: SliceProblem, order: int):
     """x1(z) on the slice and psi_jet at x1 up to ``order``.  The change of
     variables divides by psi'(x1), so a vanishing psi' is rejected here."""
-    x1 = x1_of_z(z, x2_tilde, params, table)
-    jet = psi_jet(table, x1, order)
+    x1 = x1_of_z(z, slice_problem)
+    jet = psi_jet(slice_problem.table, x1, order)
     if np.any(np.asarray(jet[1]) == 0.0):
-        raise SingularJacobianError(f"psi' vanishes at x1={x1} (z={z}, x2~={x2_tilde})")
+        raise SingularJacobianError(
+            f"psi' vanishes at x1={x1} (z={z}, x2~={slice_problem.x2_tilde})"
+        )
     return x1, jet
 
 
-def jacobian_factor(z, x2_tilde: float, params: KstParams, table: PsiTable):
+def jacobian_factor(z, slice_problem: SliceProblem):
     """Change-of-variables factor dx1/dz = 1/(alpha_1 psi'(x1(z)))."""
-    _, (_, dpsi) = _x1_jet(z, x2_tilde, params, table, 1)
-    return 1.0 / (params.alpha_float[0] * dpsi)
+    _, (_, dpsi) = _x1_jet(z, slice_problem, 1)
+    return 1.0 / (slice_problem.params.alpha_float[0] * dpsi)
 
 
 def _g_c2(slice_problem: SliceProblem, x1, d1):
@@ -159,12 +157,11 @@ def first_order_system(slice_problem: SliceProblem) -> Callable:
     psi_jet at x1.  The solver divides by c2, so a vanishing c2 is
     rejected here.
     """
-    params, table = slice_problem.params, slice_problem.table
-    a1, a2 = params.alpha_float[:2]
+    a1, a2 = slice_problem.params.alpha_float[:2]
     _, p1_x2, p2_x2 = slice_problem.jet_x2
 
     def coefficients(z):
-        x1, (p0, d1, d2, d3) = _x1_jet(z, slice_problem.x2_tilde, params, table, 3)
+        x1, (p0, d1, d2, d3) = _x1_jet(z, slice_problem, 3)
         g, c2 = _g_c2(slice_problem, x1, d1)
         if np.any(c2 == 0.0):
             raise SingularJacobianError("c2 vanishes on the mesh; system is singular")
@@ -235,10 +232,9 @@ def reduced_closed_form(
     identity inner table at depth 1.  Integration runs on a mesh refined
     by ``refine`` relative to z_nodes, then samples back.
     """
-    params, table = slice_problem.params, slice_problem.table
     z_min, z_max = slice_problem.bounds
     fine = np.linspace(z_min, z_max, refine * (len(z_nodes) - 1) + 1)
-    x1, (_, d1) = _x1_jet(fine, slice_problem.x2_tilde, params, table, 1)
+    x1, (_, d1) = _x1_jet(fine, slice_problem, 1)
     g, c2 = _g_c2(slice_problem, x1, d1)
     rhs = g / c2
     steps = np.diff(fine)
@@ -285,14 +281,12 @@ def compare_slice(solution: BvpSolution, slice_problem: SliceProblem) -> SliceRe
     """L-inf/L2 distances of U against the analytic restriction and the
     closed form of the reduced ODE, plus the measured amplitude ratio."""
     z = solution.nodes
-    params, table = slice_problem.params, slice_problem.table
     x2t = slice_problem.x2_tilde
     z_min, z_max = slice_problem.bounds
     bracket_left, bracket_right = slice_problem.brackets
 
     u_closed = reduced_closed_form(slice_problem, z)
-    x1 = x1_of_z(z, x2t, params, table)
-    u_analytic = analytic_solution(x1, x2t)
+    u_analytic = analytic_solution(x1_of_z(z, slice_problem), x2t)
 
     diff_closed = solution.U - u_closed
     diff_analytic = solution.U - u_analytic
@@ -349,18 +343,19 @@ def reconstruct_field(
     x1_nodes: np.ndarray,
     x2_rows: np.ndarray,
 ) -> Field2D:
-    """Assemble u(x1, x2) = U_{x2}(z(x1, x2)) from solved slices."""
+    """Assemble u(x1, x2) = U_{x2}(z(x1, x2)) from solved slices that share
+    one psi table: z is alpha_1 psi(x1), computed once, plus the row's z_min."""
     x1_nodes = np.asarray(x1_nodes, dtype=float)
     x2_rows = np.asarray(x2_rows, dtype=float)
     values = np.empty((len(x1_nodes), len(x2_rows)))
+    z_x1 = None
     for j, x2 in enumerate(x2_rows):
         if x2 not in solutions:
             raise KeyError(f"no solved slice for row x2={x2}")
         sol, sp = solutions[x2]
-        table, params = sp.table, sp.params
-        a1, a2 = params.alpha_float[:2]
-        z = a1 * psi_eval(table, x1_nodes) + a2 * psi_eval(table, x2)
-        values[:, j] = np.interp(z, sol.nodes, sol.U)
+        if z_x1 is None:
+            z_x1 = sp.params.alpha_float[0] * psi_eval(sp.table, x1_nodes)
+        values[:, j] = np.interp(z_x1 + sp.bounds[0], sol.nodes, sol.U)
     return Field2D(x1=x1_nodes, x2=x2_rows, values=values)
 
 

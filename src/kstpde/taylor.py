@@ -18,7 +18,6 @@ from .inner import KstParams, PsiTable, psi_eval, psi_jet, z_map
 
 __all__ = [
     "OuterFunctionSet",
-    "TaylorConfig",
     "bell_tilde",
     "taylor_kst_eval",
     "shifted_exact_eval",
@@ -33,16 +32,11 @@ class OuterFunctionSet:
     """
 
     derivatives: tuple[Callable[[int, float], float], ...]
-    max_order: int
 
     def __len__(self):
         return len(self.derivatives)
 
     def eval(self, q: int, order: int, z: float) -> float:
-        if order > self.max_order:
-            raise ValueError(
-                f"derivative order {order} exceeds available max_order={self.max_order}"
-            )
         return self.derivatives[q](order, z)
 
     @classmethod
@@ -60,24 +54,7 @@ class OuterFunctionSet:
 
             return d
 
-        return cls(derivatives=tuple(make(p) for p in polys), max_order=10**9)
-
-    @classmethod
-    def zeros(cls, count: int) -> "OuterFunctionSet":
-        return cls(derivatives=tuple((lambda order, z: 0.0) for _ in range(count)),
-                   max_order=10**9)
-
-
-@dataclass(frozen=True)
-class TaylorConfig:
-    """Truncation order and optional decoupled shift parameter."""
-
-    M: int
-    a_override: float | None = None
-
-    def __post_init__(self):
-        if self.M < 0:
-            raise ValueError(f"truncation order M must be >= 0, got {self.M}")
+        return cls(derivatives=tuple(make(p) for p in polys))
 
 
 def bell_tilde(
@@ -115,20 +92,23 @@ def bell_tilde(
 def taylor_kst_eval(
     outer: OuterFunctionSet,
     x: Sequence[float],
-    cfg: TaylorConfig,
+    M: int,
     table: PsiTable,
     params: KstParams,
+    a: float | None = None,
 ) -> float:
     """Truncated series sum over m <= M, k <= m and the 2n+1 outer functions.
 
     Returns sum_m sum_k B~_{m,k}(x) sum_q (a^m q^m / m!) Phi_q^(k)(z)
-    with z the aggregate map of x.  At M = 0 this is exactly
-    sum_q Phi_q(z).
+    with z the aggregate map of x and a the shift, params.a unless given.
+    At M = 0 this is exactly sum_q Phi_q(z).
     """
+    if M < 0:
+        raise ValueError(f"truncation order M must be >= 0, got {M}")
     z = z_map(params, table, x)
-    a = float(params.a) if cfg.a_override is None else cfg.a_override
+    a = float(params.a) if a is None else a
     total = 0.0
-    for m in range(cfg.M + 1):
+    for m in range(M + 1):
         a_m = a**m / math.factorial(m)
         for k in range(m + 1):
             if k == 0 and m > 0:

@@ -109,7 +109,7 @@ class TestAcceptance:
         sp = SliceProblem(x2_tilde=0.5, params=params, table=table)
         sol, _ = solve_slice(sp, n_nodes=1001)
         rep = compare_slice(sol, sp)
-        x1 = x1_of_z(sol.nodes, 0.5, params, table)
+        x1 = x1_of_z(sol.nodes, sp)
         u_an = analytic_solution(x1, 0.5)
         ends_ok = (
             abs(sol.U[0]) <= 1e-10

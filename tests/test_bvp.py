@@ -41,15 +41,6 @@ def to_dense(band):
     return dense
 
 
-def band_order(n):
-    """Permutations of the (U, W) state and of the residual rows into band order:
-    unknowns interleaved, rows left end, each interval's U then W row, right end."""
-    cols = np.column_stack([np.arange(n), n + np.arange(n)]).ravel()
-    intervals = np.column_stack([1 + np.arange(n - 1), n + np.arange(n - 1)]).ravel()
-    rows = np.concatenate([[0], intervals, [2 * n - 1]])
-    return rows, cols
-
-
 def make_problem(g, n_nodes, c0=0.0, z_min=0.0, z_max=1.0):
     """U'' + c0 U = g(z) with zero ends, as (g, c1, c0, c2) = (g, 0, c0, 1)."""
 
@@ -85,9 +76,8 @@ class TestNewtonSolve:
         assert sol.converged and sol.iterations == 1
         assert len(sol.residual_history) == 2
         assert sol.residual_history[-1] == ode_residual(sol, problem) <= 1e-10
-        state = np.concatenate([sol.U, sol.W])
-        rows, _ = band_order(problem.n_nodes)
-        step = _solve_linear(_collocation_band(problem), -_residual(problem, state)[rows])
+        state = np.column_stack([sol.U, sol.W]).ravel()
+        step = _solve_linear(_collocation_band(problem), -_residual(problem, state))
         assert np.max(np.abs(step)) <= 1e-10 * (1.0 + np.max(np.abs(sol.U)))
 
     def test_linear_problem_at_1e5_nodes(self):
@@ -155,13 +145,12 @@ class TestSparseJacobian:
         state = np.random.default_rng(5).standard_normal(2 * problem.n_nodes)
         r0 = _residual(problem, state)
         jac = to_dense(_collocation_band(problem))
-        rows, cols = band_order(problem.n_nodes)
         ref = np.empty_like(jac)
-        for j, col in enumerate(cols):
-            eps = 1e-7 * (1.0 + abs(state[col]))
+        for j in range(len(state)):
+            eps = 1e-7 * (1.0 + abs(state[j]))
             pert = state.copy()
-            pert[col] += eps
-            ref[:, j] = ((_residual(problem, pert) - r0) / eps)[rows]
+            pert[j] += eps
+            ref[:, j] = (_residual(problem, pert) - r0) / eps
         # forward differences differ from the exact entries by the rounding
         # of r, about 1e-16 |r| / eps, so compare against each row's largest
         scale = np.max(np.abs(ref), axis=1, keepdims=True)
@@ -237,8 +226,9 @@ class TestValidation:
 
     def test_rejects_bad_tolerance(self):
         problem = make_problem(lambda z: z, 11)
-        with pytest.raises(ValueError):
-            newton_solve(problem, tol=0.0)
+        for tol in (0.0, -1e-10, np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite number above 0"):
+                newton_solve(problem, tol=tol)
 
     def test_residual_rejects_foreign_mesh(self):
         p1 = make_problem(lambda z: z, 11)

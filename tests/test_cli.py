@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -89,16 +90,28 @@ class TestPsi:
             "kstpde": kstpde.__version__,
         }
 
-    def test_rerun_is_byte_identical(self, tmp_path):
-        assert run(tmp_path, "psi", "--k", "2") == 0
-        first = {
-            p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()
-        }
-        assert run(tmp_path, "psi", "--k", "2") == 0
-        second = {
-            p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()
-        }
-        assert first == second
+
+class TestDeterminism:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["psi", "--k", "2"],
+            ["sweep", "--x2-grid", "5", "--mesh", "51"],
+            ["solve", "--k", "2", "--x2", "0.3,0.77", "--mesh", "201"],
+            ["verify"],
+            ["taylor-check"],
+            ["bell", "--max-m", "6"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_rerun_is_byte_identical(self, tmp_path, argv):
+        # the second run in the same process sees no state the first left
+        runs = []
+        for _ in range(2):
+            assert run(tmp_path, *argv) == 0
+            runs.append({p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()})
+            shutil.rmtree(tmp_path / "out")
+        assert runs[0] == runs[1]
 
 
 class TestSolve:
@@ -277,11 +290,33 @@ class TestSlicePathUsageErrors:
         assert "--k 1,2" in capsys.readouterr().err
         assert not any((tmp_path / "out").iterdir())
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-0.5"])
+    def test_tol_not_finite_positive_is_usage_error(self, tmp_path, capsys, tol):
+        assert run(tmp_path, "solve", "--mesh", "101", "--tol", tol) == 2
+        assert f"--tol must be a finite number above 0, got {float(tol)}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("rows", ["0", "1", "-3"])
     def test_short_x2_grid_is_usage_error(self, tmp_path, capsys, rows):
         assert run(tmp_path, "sweep", "--x2-grid", rows) == 2
         assert f"at least 2 rows, got {rows}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestCountUsageErrors:
+    @pytest.mark.parametrize(
+        "argv", [["--n", "1", "--gamma", "4"], ["--n", "3"]], ids=["n1", "n3"]
+    )
+    def test_taylor_check_needs_two_dimensions(self, tmp_path, capsys, argv):
+        assert run(tmp_path, "taylor-check", *argv) == 2
+        err = capsys.readouterr().err
+        assert f"needs n = 2, got --n {argv[1]}" in err
+        assert not any((tmp_path / "out").iterdir())
+
+    def test_negative_max_m_is_usage_error(self, tmp_path, capsys):
+        assert run(tmp_path, "bell", "--max-m", "-1") == 2
+        assert "--max-m must be >= 0, got -1" in capsys.readouterr().err
+        assert not any((tmp_path / "out").iterdir())
 
 
 class TestConfigFile:

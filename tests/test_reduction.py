@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid, fixed_quad, trapezoid
 
-from kstpde import checks, reduction
+from kstpde import checks, cli, inner, reduction
 from kstpde.bvp import ode_residual
 from kstpde.inner import (
     MonotonicityError,
@@ -32,34 +32,37 @@ from kstpde.reduction import (
     jacobian_factor,
     reconstruct_field,
     reduced_closed_form,
-    slice_bounds,
     solve_slice,
     trapezoid_panels,
     x1_of_z,
 )
 
 
+def bounds(x2, params, table):
+    return SliceProblem(x2_tilde=x2, params=params, table=table).bounds
+
+
 class TestSliceBounds:
     def test_at_zero(self, params_k1, table_k1):
-        z_min, z_max = slice_bounds(0.0, params_k1, table_k1)
+        z_min, z_max = bounds(0.0, params_k1, table_k1)
         assert z_min == 0.0
         assert z_max == params_k1.alpha_float[0]
 
     def test_identity_table_midpoint(self, params_k1, table_k1):
         a1, a2 = params_k1.alpha_float
-        z_min, z_max = slice_bounds(0.5, params_k1, table_k1)
+        z_min, z_max = bounds(0.5, params_k1, table_k1)
         assert z_min == pytest.approx(0.5 * a2)
         assert z_max == pytest.approx(a1 + 0.5 * a2)
 
     def test_width_is_alpha1(self, params_k4, table_k4):
         a1 = params_k4.alpha_float[0]
         for x2 in (0.0, 0.31, 0.77, 1.0):
-            z_min, z_max = slice_bounds(x2, params_k4, table_k4)
+            z_min, z_max = bounds(x2, params_k4, table_k4)
             assert z_max - z_min == pytest.approx(a1, abs=1e-15)
 
     def test_rejects_out_of_domain(self, params_k1, table_k1):
         with pytest.raises(ValueError):
-            slice_bounds(1.5, params_k1, table_k1)
+            bounds(1.5, params_k1, table_k1)
 
     def test_rejects_flat_float_table(self, params_k1, table_k1):
         # a valid exact table whose float64 view has lost strict
@@ -75,43 +78,37 @@ class TestSliceBounds:
 
 class TestX1OfZ:
     def test_endpoints(self, params_k4, table_k4):
-        z_min, z_max = slice_bounds(0.4, params_k4, table_k4)
-        assert x1_of_z(z_min, 0.4, params_k4, table_k4) == pytest.approx(0.0, abs=1e-12)
-        assert x1_of_z(z_max, 0.4, params_k4, table_k4) == pytest.approx(1.0, abs=1e-12)
+        sp = SliceProblem(x2_tilde=0.4, params=params_k4, table=table_k4)
+        z_min, z_max = sp.bounds
+        assert x1_of_z(z_min, sp) == pytest.approx(0.0, abs=1e-12)
+        assert x1_of_z(z_max, sp) == pytest.approx(1.0, abs=1e-12)
 
     def test_linear_for_identity_table(self, params_k1, table_k1):
         a1, a2 = params_k1.alpha_float
-        x2 = 0.5
-        for z in np.linspace(*slice_bounds(x2, params_k1, table_k1), 7):
-            assert x1_of_z(z, x2, params_k1, table_k1) == pytest.approx(
-                (z - a2 * x2) / a1, abs=1e-12
-            )
+        sp = SliceProblem(x2_tilde=0.5, params=params_k1, table=table_k1)
+        for z in np.linspace(*sp.bounds, 7):
+            assert x1_of_z(z, sp) == pytest.approx((z - a2 * 0.5) / a1, abs=1e-12)
 
     def test_rejects_outside_bounds(self, params_k1, table_k1):
         with pytest.raises(ValueError):
-            x1_of_z(2.0, 0.5, params_k1, table_k1)
+            x1_of_z(2.0, SliceProblem(x2_tilde=0.5, params=params_k1, table=table_k1))
 
 
 class TestJacobianFactor:
     def test_identity_table_constant(self, params_k1, table_k1):
         a1 = params_k1.alpha_float[0]
-        z_min, z_max = slice_bounds(0.3, params_k1, table_k1)
-        for z in np.linspace(z_min, z_max, 5):
-            assert jacobian_factor(z, 0.3, params_k1, table_k1) == pytest.approx(
-                1.0 / a1, rel=1e-12
-            )
+        sp = SliceProblem(x2_tilde=0.3, params=params_k1, table=table_k1)
+        for z in np.linspace(*sp.bounds, 5):
+            assert jacobian_factor(z, sp) == pytest.approx(1.0 / a1, rel=1e-12)
 
     def test_k4_matches_raw_table_difference(self, params_k4, table_k4):
-        x2 = 0.6
-        z_min, z_max = slice_bounds(x2, params_k4, table_k4)
-        z = 0.5 * (z_min + z_max)
-        x1 = x1_of_z(z, x2, params_k4, table_k4)
+        sp = SliceProblem(x2_tilde=0.6, params=params_k4, table=table_k4)
+        z = 0.5 * sum(sp.bounds)
+        x1 = x1_of_z(z, sp)
         delta = table_k4.delta
         raw = (psi_eval(table_k4, x1 + delta) - psi_eval(table_k4, x1)) / delta
         a1 = params_k4.alpha_float[0]
-        assert jacobian_factor(z, x2, params_k4, table_k4) == pytest.approx(
-            1.0 / (a1 * raw), rel=1e-12
-        )
+        assert jacobian_factor(z, sp) == pytest.approx(1.0 / (a1 * raw), rel=1e-12)
 
 
 def separate_formulas(sp, z):
@@ -121,7 +118,7 @@ def separate_formulas(sp, z):
     a1, a2 = params.alpha_float[:2]
     p1_x2 = psi_derivative(table, 1, x2)
     p2_x2 = psi_derivative(table, 2, x2)
-    x1 = x1_of_z(z, x2, params, table)
+    x1 = x1_of_z(z, sp)
     d1, d2, d3 = (psi_derivative(table, order, x1) for order in (1, 2, 3))
     p0 = psi_eval(table, x1)
     c2 = (a1**2 * d1**2 + a2**2 * p1_x2**2) / (a1 * d1)
@@ -159,7 +156,7 @@ class TestOdeCoefficients:
         assert c2 == pytest.approx((a1**2 + a2**2) / a1, rel=1e-9)
         assert c1 == pytest.approx(0.0, abs=1e-9)
         assert c0 == pytest.approx(0.0, abs=1e-9)
-        x1 = x1_of_z(z, 0.5, params_k1, table_k1)
+        x1 = x1_of_z(z, sp)
         assert g == pytest.approx(
             math.sin(math.pi * x1) * math.sin(math.pi * 0.5) / a1, rel=1e-9
         )
@@ -211,7 +208,7 @@ class TestFirstOrderSystem:
         sp = SliceProblem(x2_tilde=0.5, params=params_k1, table=table_k1)
         coefficients = first_order_system(sp)
         z = 0.5 * sum(sp.bounds)
-        x1 = x1_of_z(z, 0.5, params_k1, table_k1)
+        x1 = x1_of_z(z, sp)
         g, _, _, c2 = coefficients(z)
         assert g / c2 == pytest.approx(
             math.sin(math.pi * x1) / (a1**2 + a2**2), rel=1e-9
@@ -384,6 +381,21 @@ class TestCompareAndReconstruct:
         direct = np.interp(z, sol.nodes, sol.U)
         assert np.allclose(field.values[:, 2], direct, atol=0.0)
 
+    def test_psi_at_x2_once_per_slice(self, tmp_path, monkeypatch):
+        # psi at a row's x2 comes from the slice's one order-2 jet there
+        # (3 scalar evaluations); bounds and reconstruct_field reuse it
+        scalar = []
+
+        def counting(table, x):
+            if np.ndim(x) == 0:
+                scalar.append(float(x))
+            return psi_eval(table, x)
+
+        for module in (inner, reduction):
+            monkeypatch.setattr(module, "psi_eval", counting)
+        assert cli.main(["sweep", "--x2-grid", "3", "--mesh", "101", "--out", str(tmp_path)]) == 0
+        assert len(scalar) == 3 * 3
+
     def test_missing_row_rejected(self, params_k1, table_k1):
         with pytest.raises(KeyError):
             reconstruct_field({}, np.linspace(0, 1, 3), np.array([0.5]))
@@ -424,6 +436,62 @@ class TestAmplitudeRatio:
         assert abs(gap) <= 4 * h**2
 
 
+def manufactured_rhs(sp, dU, d2U):
+    """The chain-rule Laplacian of u = U*(z(x1, x2)): U*''(z) (a1^2 psi'(x1)^2
+    + a2^2 psi'(x2)^2) + U*'(z) (a1 psi''(x1) + a2 psi''(x2)), from psi jets."""
+    a1, a2 = sp.params.alpha_float[:2]
+
+    def rhs(x1, x2):
+        p0, p1, p2 = psi_jet(sp.table, x1, 2)
+        q0, q1, q2 = psi_jet(sp.table, x2, 2)
+        z = a1 * p0 + a2 * q0
+        return d2U(z) * (a1**2 * p1**2 + a2**2 * q1**2) + dU(z) * (a1 * p2 + a2 * q2)
+
+    return rhs
+
+
+class TestManufacturedSlice:
+    """At k=1 psi' = 1 and psi'' = 0, so the slice ODE with the chain-rule
+    Laplacian of U*(z) as its source is U*'' = U*'' and returns U*: exactly
+    for a quadratic, which trapezoidal collocation integrates exactly, and
+    to O(h^2) for a sine."""
+
+    @staticmethod
+    def relative_errors(params, table, x2, case):
+        base = SliceProblem(x2_tilde=x2, params=params, table=table)
+        lo, hi = base.bounds
+        w = math.pi / params.alpha_float[0]
+        U, dU, d2U = {
+            "quadratic": (
+                lambda z: (z - lo) * (hi - z),
+                lambda z: hi + lo - 2.0 * z,
+                lambda z: np.full_like(z, -2.0),
+            ),
+            "sine": (
+                lambda z: np.sin(w * (z - lo)),
+                lambda z: w * np.cos(w * (z - lo)),
+                lambda z: -(w**2) * np.sin(w * (z - lo)),
+            ),
+        }[case]
+        sp = dataclasses.replace(base, rhs=manufactured_rhs(base, dU, d2U))
+        errors = []
+        for n_nodes in (101, 201, 401):
+            sol, _ = solve_slice(sp, n_nodes=n_nodes)
+            exact = U(sol.nodes)
+            errors.append(np.max(np.abs(sol.U - exact)) / np.max(np.abs(exact)))
+        return errors
+
+    @pytest.mark.parametrize("x2", [0.3, 0.77])
+    def test_quadratic_is_exact_at_k1(self, x2, params_k1, table_k1):
+        errors = self.relative_errors(params_k1, table_k1, x2, "quadratic")
+        assert max(errors) <= 1e-12
+
+    @pytest.mark.parametrize("x2", [0.3, 0.77])
+    def test_sine_converges_at_second_order_at_k1(self, x2, params_k1, table_k1):
+        errors = self.relative_errors(params_k1, table_k1, x2, "sine")
+        assert all(3.5 <= coarse / fine <= 4.5 for coarse, fine in zip(errors, errors[1:]))
+
+
 class TestChangeOfVariablesIdentity:
     @pytest.mark.parametrize("coeffs", checks.QUADRATURE_CUBICS)
     def test_cubic_transfer(self, coeffs, params_k1, table_k1):
@@ -434,11 +502,12 @@ class TestChangeOfVariablesIdentity:
         poly = np.polynomial.Polynomial(coeffs)
         x2 = checks.QUADRATURE_X2
 
-        def integrand(z):
-            x1 = x1_of_z(z, x2, params_k1, table_k1)
-            return poly(x1) * jacobian_factor(z, x2, params_k1, table_k1)
+        sp = SliceProblem(x2_tilde=x2, params=params_k1, table=table_k1)
 
-        quad, _ = fixed_quad(integrand, *slice_bounds(x2, params_k1, table_k1), n=40)
+        def integrand(z):
+            return poly(x1_of_z(z, sp)) * jacobian_factor(z, sp)
+
+        quad, _ = fixed_quad(integrand, *sp.bounds, n=40)
         expected = abs(poly.integ()(1.0) - poly.integ()(0.0) - quad)
         error = checks.quadrature_transfer_error(coeffs, params_k1, table_k1)
         assert error == pytest.approx(expected, rel=0.0, abs=1e-15)
@@ -480,7 +549,7 @@ class TestTrapezoid:
         u_closed = np.interp(z, fine, u)
         assert np.array_equal(reduced_closed_form(sp, z), u_closed)
         report = compare_slice(sol, sp)
-        u_analytic = analytic_solution(x1_of_z(z, x2, params, table), x2)
+        u_analytic = analytic_solution(x1_of_z(z, sp), x2)
         l2_closed = float(np.sqrt(trapezoid((sol.U - u_closed) ** 2, z)))
         l2_analytic = float(np.sqrt(trapezoid((sol.U - u_analytic) ** 2, z)))
         assert report.l2_vs_closed_form == l2_closed

@@ -4,7 +4,7 @@ import pytest
 
 from kstpde import checks
 from kstpde.inner import psi_derivative, z_map
-from kstpde.taylor import OuterFunctionSet, TaylorConfig, bell_tilde, taylor_kst_eval
+from kstpde.taylor import OuterFunctionSet, bell_tilde, taylor_kst_eval
 
 
 @pytest.fixture(scope="module")
@@ -42,24 +42,19 @@ class TestTaylorEval:
         x = (0.3, 0.8)
         z = z_map(params_k1, table_k1, x)
         expected = sum(cubic_outer.eval(q, 0, z) for q in range(5))
-        got = taylor_kst_eval(cubic_outer, x, TaylorConfig(M=0), table_k1, params_k1)
+        got = taylor_kst_eval(cubic_outer, x, 0, table_k1, params_k1)
         assert got == expected  # exact: no Taylor machinery may perturb M=0
 
     def test_zero_outer_functions(self, params_k1, table_k1):
-        zero = OuterFunctionSet.zeros(5)
+        zero = OuterFunctionSet.from_polynomials([[0.0]] * 5)
         for M in (0, 2):
-            assert (
-                taylor_kst_eval(zero, (0.4, 0.6), TaylorConfig(M=M), table_k1, params_k1)
-                == 0.0
-            )
+            assert taylor_kst_eval(zero, (0.4, 0.6), M, table_k1, params_k1) == 0.0
 
     def test_a_override_zero_collapses_to_m0(self, cubic_outer, params_k1, table_k1):
         x = (0.45, 0.2)
-        base = taylor_kst_eval(cubic_outer, x, TaylorConfig(M=0), table_k1, params_k1)
+        base = taylor_kst_eval(cubic_outer, x, 0, table_k1, params_k1)
         for M in (1, 2):
-            got = taylor_kst_eval(
-                cubic_outer, x, TaylorConfig(M=M, a_override=0.0), table_k1, params_k1
-            )
+            got = taylor_kst_eval(cubic_outer, x, M, table_k1, params_k1, a=0.0)
             assert got == pytest.approx(base, rel=1e-14)
 
     @pytest.mark.parametrize("M", [0, 1, 2])
@@ -67,6 +62,6 @@ class TestTaylorEval:
         _, order = checks.taylor_order(cubic_outer, M, params_k1, table_k1)
         assert order >= M + 0.5
 
-    def test_rejects_negative_truncation(self):
-        with pytest.raises(ValueError):
-            TaylorConfig(M=-1)
+    def test_rejects_negative_truncation(self, cubic_outer, params_k1, table_k1):
+        with pytest.raises(ValueError, match="M must be >= 0"):
+            taylor_kst_eval(cubic_outer, (0.3, 0.8), -1, table_k1, params_k1)
