@@ -18,7 +18,7 @@ import numpy as np
 
 from .combinatorics import bell_polynomial, enumerate_partitions, faa_di_bruno
 from .inner import KstParams, PsiTable, build_psi, compute_constants
-from .reduction import SliceProblem, analytic_solution, default_source, jacobian_factor, x1_of_z
+from .reduction import SliceProblem, _x1_jet, analytic_solution, default_source
 from .taylor import OuterFunctionSet, shifted_exact_eval, taylor_kst_eval
 from .variational import laplacian_residual
 
@@ -195,7 +195,8 @@ def quadrature_transfer_error(coeffs, params: KstParams, table: PsiTable) -> flo
     z_min, z_max = sp.bounds
     nodes, weights = _gauss_legendre_40()
     z = (z_max - z_min) * (nodes + 1.0) / 2.0 + z_min
-    integrand = poly(x1_of_z(z, sp)) * jacobian_factor(z, sp)
+    x1, (_, dpsi) = _x1_jet(z, sp, 1)  # one inversion for x1 and dx1/dz
+    integrand = poly(x1) * (1.0 / (params.alpha_float[0] * dpsi))
     transferred = (z_max - z_min) / 2.0 * np.sum(weights * integrand)
     direct = poly.integ()(1.0) - poly.integ()(0.0)
     return float(abs(direct - transferred))

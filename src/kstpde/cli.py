@@ -13,7 +13,7 @@ import hashlib
 import json
 import platform
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -53,17 +53,21 @@ NUMERICAL_ERRORS = (
     SingularJacobianError,
 )
 
-DEFAULTS = {
-    "gamma": 10,
-    "n": 2,
-    "k": "1",
-    "terms": 8,
-    "mesh": 1001,
-    "tol": 1e-10,
-    "x2": "0.5",
-    "x2_grid": 21,
-    "out": "out",
-    "format": "csv",
+# flag -> (default, argparse keywords), the one declaration of each flag; a
+# command registers only the flags its COMMANDS entry names
+FLAGS = {
+    "config": (None, {"help": "key=value file of this command's flags"}),
+    "gamma": (10, {"type": int}),
+    "n": (2, {"type": int}),
+    "terms": (8, {"type": int, "help": "alpha series truncation length"}),
+    "k": ("1", {"help": "depth, or comma-separated list of depths"}),
+    "mesh": (1001, {"type": int, "help": "BVP mesh node count"}),
+    "tol": (1e-10, {"type": float, "help": "collocation residual tolerance"}),
+    "x2": ("0.5", {"help": "comma-separated fixed x2 values"}),
+    "x2-grid": (21, {"type": int, "help": "sweep row count"}),
+    "format": ("csv", {"choices": ["csv", "json"]}),
+    "max-m": (6, {"type": int}),
+    "out": ("out", {"type": Path, "help": "output directory"}),
 }
 
 
@@ -85,54 +89,47 @@ class UsageError(Exception):
     pass
 
 
-def _load_config_file(path: str) -> dict:
-    values = {}
-    for line in Path(path).read_text().splitlines():
+def _config_file_args(path: str) -> list[str]:
+    """Each ``key = value`` line of the file as the argument ``--key=value``."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise UsageError(f"cannot read --config file: {exc}") from exc
+    file_args = []
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise UsageError(f"bad config line (expected key=value): {line!r}")
         key, _, val = line.partition("=")
-        values[key.strip().replace("-", "_")] = val.strip()
-    return values
+        file_args.append(f"--{key.strip().replace('_', '-')}={val.strip()}")
+    return file_args
+
+
+def _tag(x2: float) -> str:
+    return ("%g" % x2).replace(".", "p")
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge CLI flags over config-file values over defaults."""
-    merged = dict(DEFAULTS)
-    if getattr(args, "config", None):
-        merged.update(_load_config_file(args.config))
-    for key in DEFAULTS:
-        cli_val = getattr(args, key, None)
-        if cli_val is not None:
-            merged[key] = cli_val
-
+    """The parsed flags over the FLAGS defaults, range-checked."""
+    values = {name.replace("-", "_"): default for name, (default, _) in FLAGS.items()} | vars(args)
     try:
-        k_list = [int(v) for v in str(merged["k"]).split(",")]
-        x2_list = [float(v) for v in str(merged["x2"]).split(",")]
-        cfg = RunConfig(
-            gamma=int(merged["gamma"]),
-            n=int(merged["n"]),
-            k=k_list,
-            terms=int(merged["terms"]),
-            mesh=int(merged["mesh"]),
-            tol=float(merged["tol"]),
-            x2=x2_list,
-            x2_grid=int(merged["x2_grid"]),
-            out=Path(merged["out"]),
-            format=str(merged["format"]),
-        )
+        values["k"] = [int(v) for v in values["k"].split(",")]
+        values["x2"] = [float(v) for v in values["x2"].split(",")]
     except ValueError as exc:
         raise UsageError(f"bad configuration value: {exc}") from exc
-    if cfg.format not in ("csv", "json"):
-        raise UsageError(f"--format must be csv or json, got {cfg.format}")
+    cfg = RunConfig(**{f.name: values[f.name] for f in fields(RunConfig)})
     if cfg.gamma < 2 * cfg.n + 2:
         raise UsageError(f"gamma={cfg.gamma} violates gamma >= 2n+2 = {2 * cfg.n + 2}")
     if any(k < 1 for k in cfg.k):
         raise UsageError(f"depths must be >= 1, got {cfg.k}")
     if any(not 0.0 <= v <= 1.0 for v in cfg.x2):
         raise UsageError(f"x2 values must lie in [0, 1], got {cfg.x2}")
+    for i, x2 in enumerate(cfg.x2):  # each slice's files are named by its tag
+        clash = [v for v in cfg.x2[:i] if _tag(v) == _tag(x2)]
+        if clash:
+            raise UsageError(f"--x2 values {clash[0]} and {x2} share the artifact tag {_tag(x2)}")
     if cfg.mesh < 3:
         raise UsageError(f"mesh must have at least 3 nodes, got {cfg.mesh}")
     if not 0.0 < cfg.tol < np.inf:
@@ -204,7 +201,7 @@ def cmd_psi(cfg: RunConfig, args: argparse.Namespace) -> CommandResult:
 
 
 def cmd_constants(cfg: RunConfig, args: argparse.Namespace) -> CommandResult:
-    params = compute_constants(cfg.n, cfg.gamma, cfg.terms, k=cfg.k[0])
+    params = compute_constants(cfg.n, cfg.gamma, cfg.terms)
     payload = {
         "gamma": cfg.gamma,
         "n": cfg.n,
@@ -236,10 +233,6 @@ def cmd_bell(cfg: RunConfig, args: argparse.Namespace) -> CommandResult:
 
 def cmd_taylor_check(cfg: RunConfig, args: argparse.Namespace) -> CommandResult:
     """Truncation-order study with cubic outer functions and identity table."""
-    dims = len(checks.TAYLOR_POINTS[0])
-    if cfg.n != dims:
-        raise UsageError(f"taylor-check evaluates at {dims}-D points, so it needs n = {dims}, "
-                         f"got --n {cfg.n}")
     params, table = _params_and_table(cfg, 1)
     outer = checks.cubic_outer(7, 2 * cfg.n + 1)
     fits = {M: checks.taylor_order(outer, M, params, table) for M in (0, 1, 2)}
@@ -263,10 +256,6 @@ def _solve_one(cfg: RunConfig, params, table, x2: float):
 def _report_dict(report, sol) -> dict:
     """compare_slice's distances plus the collocation residual the solve left."""
     return {**report.to_dict(), "residual_inf": sol.residual_history[-1]}
-
-
-def _tag(x2: float) -> str:
-    return ("%g" % x2).replace(".", "p")
 
 
 def _write_slice(cfg: RunConfig, sp, sol) -> list[Path]:
@@ -364,59 +353,56 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> CommandResult:
     return [_write_json(cfg, "verify.json", report)], all(ok for ok, _ in results.values())
 
 
-# name -> (help text, handler); build_parser and main both read this table
+SLICE_FLAGS = ("gamma", "n", "terms", "k", "mesh", "tol")
+
+# name -> (help text, handler, flags besides --config and --out);
+# build_parser and main both read this table
 COMMANDS = {
-    "psi": ("tabulate the inner function and its difference derivatives", cmd_psi),
-    "constants": ("compute the shift constant and alpha coefficients", cmd_constants),
-    "bell": ("emit the constrained-partition table", cmd_bell),
-    "taylor-check": ("truncation-order verification of the Taylor form", cmd_taylor_check),
-    "solve": ("solve reduced slice problems at fixed x2", cmd_solve),
-    "sweep": ("solve a grid of slices and reconstruct the 2-D field", cmd_sweep),
-    "compare": ("solve and compare a slice against its references", cmd_compare),
-    "verify": ("run the invariant oracles of kstpde.checks", cmd_verify),
+    "psi": ("tabulate the inner function and its difference derivatives", cmd_psi,
+            ("gamma", "n", "terms", "k")),
+    "constants": ("compute the shift constant and alpha coefficients", cmd_constants,
+                  ("gamma", "n", "terms", "format")),
+    "bell": ("emit the constrained-partition table", cmd_bell, ("max-m",)),
+    "taylor-check": ("truncation-order verification of the Taylor form", cmd_taylor_check,
+                     ("gamma", "terms")),
+    "solve": ("solve reduced slice problems at fixed x2", cmd_solve, SLICE_FLAGS + ("x2",)),
+    "sweep": ("solve a grid of slices and reconstruct the 2-D field", cmd_sweep,
+              SLICE_FLAGS + ("x2-grid",)),
+    "compare": ("solve and compare a slice against its references", cmd_compare,
+                SLICE_FLAGS + ("x2",)),
+    "verify": ("run the invariant oracles of kstpde.checks", cmd_verify,
+               ("gamma", "n", "terms", "tol")),
 }
 
 
-# --------------------------------------------------------------------------
-# argument parsing
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="key=value config file")
-    sub.add_argument("--gamma", type=int)
-    sub.add_argument("--k", help="depth, or comma-separated list of depths")
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--terms", type=int, help="alpha series truncation length")
-    sub.add_argument("--x2", help="comma-separated fixed x2 values")
-    sub.add_argument("--x2-grid", dest="x2_grid", type=int, help="sweep row count")
-    sub.add_argument("--mesh", type=int, help="BVP mesh node count")
-    sub.add_argument("--tol", type=float, help="collocation residual tolerance")
-    sub.add_argument("--out", help="output directory")
-    sub.add_argument("--format", choices=["csv", "json"])
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, holding only the flags that command reads."""
     parser = argparse.ArgumentParser(
         prog="kstpde",
         description="Superposition-based reduction of the 2-D Poisson problem "
         "to one-dimensional boundary value problems.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _) in COMMANDS.items():
-        sub = subs.add_parser(name, help=help_text)
-        _add_common(sub)
-        if name == "bell":
-            sub.add_argument("--max-m", dest="max_m", type=int, default=6)
+    for name, (help_text, _, flags) in COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag in ("config", *flags, "out"):
+            default, keywords = FLAGS[flag]
+            sub.add_argument(f"--{flag}", default=default, **keywords)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config:
+            # file flags go before the command line's own, which win by argparse's last-wins rule
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_file_args(args.config) + argv[at:])
         cfg = resolve_config(args)
         cfg.out.mkdir(parents=True, exist_ok=True)
-        _, handler = COMMANDS[args.command]
+        _, handler, _ = COMMANDS[args.command]
         artifacts, ok = handler(cfg, args)
         write_manifest(cfg, artifacts)
         return EXIT_OK if ok else EXIT_FAIL

@@ -2,9 +2,12 @@
 
 import csv
 import hashlib
+import importlib.util
 import json
 import os
 import platform
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -15,10 +18,10 @@ import pytest
 import scipy
 
 import kstpde
-from kstpde import cli
+from kstpde import cli, reduction
 from kstpde.bvp import SingularMatrixError, ode_residual
 from kstpde.cli import main
-from kstpde.inner import build_psi, compute_constants
+from kstpde.inner import build_psi, compute_constants, psi_inverse
 from kstpde.reduction import SliceProblem, compare_slice, solve_slice
 
 
@@ -271,6 +274,20 @@ class TestSweepCompareVerify:
         checks = json.loads((tmp_path / "out" / "verify.json").read_text())
         assert all(c["pass"] for c in checks.values())
 
+    def test_verify_psi_inverse_calls(self, tmp_path, monkeypatch):
+        # one inversion per quadrature cubic on its 40 Gauss nodes, and three
+        # for the slice: coefficient pass, compare_slice, closed-form mesh
+        sizes = []
+
+        def inverse(table, y):
+            sizes.append(np.size(y))
+            return psi_inverse(table, y)
+
+        monkeypatch.setattr(reduction, "psi_inverse", inverse)
+        assert run(tmp_path, "verify") == 0
+        assert len(sizes) == 7
+        assert sizes.count(40) == 4 and sizes.count(501) == 2
+
 
 class TestSlicePathUsageErrors:
     @pytest.mark.parametrize("command", ["solve", "sweep", "compare", "verify"])
@@ -302,16 +319,31 @@ class TestSlicePathUsageErrors:
         assert f"at least 2 rows, got {rows}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command, x2, message",
+        [
+            ("solve", "0.5,0.5000001", "--x2 values 0.5 and 0.5000001 share the artifact tag 0p5"),
+            ("compare", "0.3,0.7,0.3", "--x2 values 0.3 and 0.3 share the artifact tag 0p3"),
+        ],
+    )
+    def test_x2_values_sharing_a_tag_are_usage_error(self, tmp_path, capsys, command, x2, message):
+        # the slices would write the same file names, the later over the earlier
+        assert run(tmp_path, command, "--x2", x2, "--mesh", "101") == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCountUsageErrors:
     @pytest.mark.parametrize(
         "argv", [["--n", "1", "--gamma", "4"], ["--n", "3"]], ids=["n1", "n3"]
     )
     def test_taylor_check_needs_two_dimensions(self, tmp_path, capsys, argv):
-        assert run(tmp_path, "taylor-check", *argv) == 2
-        err = capsys.readouterr().err
-        assert f"needs n = 2, got --n {argv[1]}" in err
-        assert not any((tmp_path / "out").iterdir())
+        # its check points are 2-D, so taylor-check takes no --n
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "taylor-check", *argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --n {argv[1]}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_negative_max_m_is_usage_error(self, tmp_path, capsys):
         assert run(tmp_path, "bell", "--max-m", "-1") == 2
@@ -340,6 +372,123 @@ class TestConfigFile:
         cfg.write_text("this is not key value\n")
         assert main(["solve", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 2
+
+    def test_missing_file_is_usage_error(self, tmp_path, capsys):
+        assert main(["solve", "--config", str(tmp_path / "absent.cfg"),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "cannot read --config file" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "line", ["meshh = 5", "x2-grid = 3", "mesh = many", "tol = 1e-3x"],
+        ids=["unknown", "sweep_only", "bad_int", "bad_float"],
+    )
+    def test_bad_key_or_value_exits_2_as_the_flag_would(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# a comment\n\n{line}\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert f"--{line.split(' = ')[0]}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["x2_grid", "x2-grid"])
+    def test_key_spellings(self, tmp_path, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 3\nmesh = 51\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        config = read_manifest(tmp_path)["config"]
+        assert (config["x2_grid"], config["mesh"]) == (3, 51)
+
+
+# a legal value of each flag, so that only the flag itself can be refused
+FLAG_VALUES = {"gamma": "10", "n": "2", "terms": "8", "k": "1", "mesh": "101", "tol": "0.001",
+               "x2": "0.5", "x2-grid": "3", "format": "json", "max-m": "4"}
+TAKEN = [(c, f) for c, (_, _, flags) in cli.COMMANDS.items() for f in flags]
+LEFT_OUT = [(c, f) for c in cli.COMMANDS for f in FLAG_VALUES if (c, f) not in TAKEN]
+
+
+class TestFlagTable:
+    """Each command takes exactly the flags of its COMMANDS entry."""
+
+    def test_every_flag_has_a_test_value(self):
+        assert set(FLAG_VALUES) == set(cli.FLAGS) - {"config", "out"}
+
+    @pytest.mark.parametrize("command, flag", TAKEN)
+    def test_taken_flag_parses(self, command, flag):
+        args = cli.build_parser().parse_args([command, f"--{flag}", FLAG_VALUES[flag]])
+        assert str(getattr(args, flag.replace("-", "_"))) == FLAG_VALUES[flag]
+
+    @pytest.mark.parametrize("command, flag", LEFT_OUT)
+    def test_left_out_flag_is_usage_error(self, tmp_path, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, command, f"--{flag}", FLAG_VALUES[flag])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_no_flag_abbreviation(self, tmp_path):
+        # with abbreviations, sweep would read --x2 as --x2-grid
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "sweep", "--x2", "5")
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_manifest_fills_untaken_flags_with_defaults(self, tmp_path):
+        assert run(tmp_path, "bell", "--max-m", "2") == 0
+        assert read_manifest(tmp_path)["config"] == {
+            "gamma": 10, "n": 2, "k": [1], "terms": 8, "mesh": 1001, "tol": 1e-10,
+            "x2": [0.5], "x2_grid": 21, "out": str(tmp_path / "out"), "format": "csv",
+        }
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def readme_cli_section() -> str:
+    text = (REPO / "README.md").read_text()
+    return text[text.index("## CLI"):text.index("## Tests")]
+
+
+class TestNoDriftFromFlagTable:
+    """The README and the benchmark workloads use only the flags of the table."""
+
+    def test_readme_commands_parse(self):
+        block = readme_cli_section().split("```sh\n")[1].split("```")[0]
+        argvs = [shlex.split(line, comments=True)[1:] for line in block.splitlines()]
+        assert {argv[0] for argv in argvs} == set(cli.COMMANDS)
+        for argv in argvs:
+            cli.build_parser().parse_args(argv + ["--out", "x"])
+
+    def test_readme_flag_table(self):
+        rows = re.findall(r"^\| ([a-z, -]+) \| ([a-z0-9, -]+) \|$", readme_cli_section(), re.M)
+        table = {
+            command: set(flags.split(", "))
+            for commands, flags in rows
+            if commands != "---"
+            for command in commands.split(", ")
+        }
+        assert table == {name: set(flags) for name, (_, _, flags) in cli.COMMANDS.items()}
+
+    def test_readme_defaults(self):
+        text = re.search(r"Defaults: (`[^`]*`)", readme_cli_section()).group(1)
+        words = shlex.split(text.strip("`"))
+        defaults = {flag[2:]: value for flag, value in zip(words[::2], words[1::2])}
+        assert defaults == {
+            name: str(default)
+            for name, (default, _) in cli.FLAGS.items()
+            if name not in ("config", "out")
+        }
+
+    def test_benchmark_workloads_parse(self):
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", REPO / "perfbench" / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        assert len(workloads.WORKLOADS) == 4
+        for name in workloads.WORKLOADS:
+            for argv in workloads.workload_argvs(name, 1):
+                cli.build_parser().parse_args(argv + ["--out", "x"])
 
 
 # scipy subpackages that scipy.integrate pulls in; kstpde needs only

@@ -497,6 +497,13 @@ class TestChangeOfVariablesIdentity:
     def test_cubic_transfer(self, coeffs, params_k1, table_k1):
         assert checks.quadrature_transfer_error(coeffs, params_k1, table_k1) <= 1e-10
 
+    def test_one_inversion_per_transfer(self, monkeypatch, params_k1, table_k1):
+        # x1 and dx1/dz on the 40 Gauss nodes come from one psi inversion
+        calls = counting_psi_calls(monkeypatch)
+        checks.quadrature_transfer_error(checks.QUADRATURE_CUBICS[0], params_k1, table_k1)
+        assert [c for c in calls if c[0] == "psi_inverse"] == [("psi_inverse", None, 40)]
+        assert ("psi_jet", 1, 40) in calls
+
     @pytest.mark.parametrize("coeffs", checks.QUADRATURE_CUBICS)
     def test_gauss_legendre_matches_scipy_fixed_quad(self, coeffs, params_k1, table_k1):
         poly = np.polynomial.Polynomial(coeffs)
