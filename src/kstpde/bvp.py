@@ -7,7 +7,9 @@ from zero solves it.  A row couples nodes i and i+1 only, so with the
 unknowns interleaved as (U0, W0, U1, W1, ...) the collocation matrix is
 banded with two sub- and two super-diagonals: it is assembled from the
 coefficients straight into LAPACK band storage and factored once with
-dgbtrf, whose pivots are checked for singularity.
+dgbtrf, whose pivots are checked for singularity.  scipy.linalg is
+imported at the first factorisation, so importing this module loads
+numpy only.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 __all__ = [
     "BvpProblem",
     "BvpSolution",
+    "NonFiniteResidualError",
     "SingularMatrixError",
     "newton_solve",
     "ode_residual",
@@ -41,6 +43,17 @@ class SingularMatrixError(RuntimeError):
         self.pivot_value = pivot_value
         super().__init__(
             f"singular Newton matrix: pivot {pivot_index} has magnitude {pivot_value:g}"
+        )
+
+
+class NonFiniteResidualError(RuntimeError):
+    """Collocation residual holds a NaN or an infinity, before or after the step."""
+
+    def __init__(self, row: int, value: float, stage: str):
+        self.row = row
+        self.value = value
+        super().__init__(
+            f"collocation residual not finite {stage} the step: row {row} is {value:g}"
         )
 
 
@@ -126,37 +139,51 @@ def _solve_linear(band: np.ndarray, rhs_vec: np.ndarray) -> np.ndarray:
     """Solve the banded system (KL sub-, KU super-diagonals) by LU with
     partial pivoting; ``band`` is overwritten by its factor.
 
-    Raises SingularMatrixError when dgbtrf meets an exactly zero pivot, or
-    when the smallest |U| diagonal entry of the factor falls below
-    1e3 * tiny * max(1, largest).  The reported pivot index counts in the
-    factor's row-permuted order, not in the order of the unknowns.
+    Raises SingularMatrixError when dgbtrf meets an exactly zero pivot, when
+    a diagonal entry of the factor's U is NaN, or when the smallest |U|
+    diagonal entry falls below 1e3 * tiny * max(1, largest).  The reported
+    pivot index counts in the factor's row-permuted order, not in the order
+    of the unknowns.
     """
+    from scipy.linalg.lapack import dgbtrf, dgbtrs
+
     lu, piv, info = dgbtrf(band, KL, KU, overwrite_ab=True)
     if info > 0:
         raise SingularMatrixError(info - 1, 0.0)
     diag = np.abs(lu[KL + KU])
-    worst = int(np.argmin(diag))
-    if diag[worst] < 1e3 * np.finfo(float).tiny * max(1.0, diag.max()):
+    worst = int(np.argmin(diag))  # the first NaN, if there is one
+    # "not >=" so that a NaN pivot fails the test
+    if not diag[worst] >= 1e3 * np.finfo(float).tiny * max(1.0, diag.max()):
         raise SingularMatrixError(worst, float(diag[worst]))
     x, _ = dgbtrs(lu, KL, KU, rhs_vec, piv, overwrite_b=True)
     return x
+
+
+def _finite_residual(problem: BvpProblem, state: np.ndarray, stage: str) -> np.ndarray:
+    """``_residual``, or NonFiniteResidualError naming its first non-finite row."""
+    r = _residual(problem, state)
+    bad = np.flatnonzero(~np.isfinite(r))
+    if bad.size:
+        raise NonFiniteResidualError(int(bad[0]), float(r[bad[0]]), stage)
+    return r
 
 
 def newton_solve(problem: BvpProblem, tol: float = 1e-10) -> BvpSolution:
     """Solve the collocation system by one exact Newton step from zero.
 
     No step is taken (``iterations`` 0) when the zero state already meets
-    tol.  A residual left above tol is reported through ``converged=False``,
-    not raised.
+    tol.  A finite residual left above tol is reported through
+    ``converged=False``, not raised; a residual that is not finite, before
+    or after the step, raises NonFiniteResidualError.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be a finite number above 0, got {tol}")
     state = np.zeros(2 * problem.n_nodes)
-    r = _residual(problem, state)
+    r = _finite_residual(problem, state, "before")
     history = [float(np.max(np.abs(r)))]
     if history[0] > tol:
         state = _solve_linear(_collocation_band(problem), -r)
-        history.append(float(np.max(np.abs(_residual(problem, state)))))
+        history.append(float(np.max(np.abs(_finite_residual(problem, state, "after")))))
     return BvpSolution(
         nodes=problem.nodes,
         U=state[0::2],

@@ -17,14 +17,14 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, checks, combinatorics, variational
-from .bvp import SingularMatrixError, export_solution_csv
+from .bvp import NonFiniteResidualError, SingularMatrixError, export_solution_csv
 from .inner import (
     FMT,
     MonotonicityError,
     build_psi,
+    build_psi_peak_bytes,
     compute_constants,
     export_derivs_csv,
     export_psi_csv,
@@ -45,8 +45,11 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
+MAX_BUILD_BYTES = 4 * 2**30  # depths whose modelled psi build needs more are refused
+
 # typed numerical failures: reported on stderr with exit 1, never as a traceback
 NUMERICAL_ERRORS = (
+    NonFiniteResidualError,
     SingularMatrixError,
     MonotonicityError,
     DegenerateBoundaryError,
@@ -124,6 +127,14 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError(f"gamma={cfg.gamma} violates gamma >= 2n+2 = {2 * cfg.n + 2}")
     if any(k < 1 for k in cfg.k):
         raise UsageError(f"depths must be >= 1, got {cfg.k}")
+    # only a given --k is limited: constants, for one, takes none and builds no table
+    for k in cfg.k if "k" in vars(args) else ():
+        need = build_psi_peak_bytes(cfg.gamma, cfg.n, k)
+        if need > MAX_BUILD_BYTES:
+            raise UsageError(
+                f"--k {k}: building the psi table needs about {need / 2**30:.3g} GiB "
+                f"(modelled), above the {MAX_BUILD_BYTES // 2**30} GiB limit"
+            )
     if any(not 0.0 <= v <= 1.0 for v in cfg.x2):
         raise UsageError(f"x2 values must lie in [0, 1], got {cfg.x2}")
     for i, x2 in enumerate(cfg.x2):  # each slice's files are named by its tag
@@ -140,6 +151,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def write_manifest(cfg: RunConfig, artifacts: list[Path], error: Exception | None = None) -> Path:
+    import scipy  # only for its version: the package root loads no subpackage
+
     checksums = {}
     for p in sorted(artifacts, key=str):
         checksums[p.name] = hashlib.sha256(p.read_bytes()).hexdigest()

@@ -9,6 +9,7 @@ one common denominator, viewed as float64 for evaluation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -26,6 +27,7 @@ __all__ = [
     "build_grid",
     "compute_constants",
     "build_psi",
+    "build_psi_peak_bytes",
     "psi_eval",
     "psi_jet",
     "psi_derivative",
@@ -207,6 +209,26 @@ def _psi_numerators(gamma: int, n: int, k: int) -> tuple[list[int], int]:
         q *= scale
         nums = out + [q]
     return nums, q
+
+
+def build_psi_peak_bytes(gamma: int, n: int, k: int) -> float:
+    """Modelled peak memory of ``build_psi`` at depth k, in bytes.
+
+    Three times gamma^k + 1 integers the size of Q_k, each a 24-byte
+    CPython int header plus one 4-byte digit per 30 bits; the factor 3
+    covers the previous level, the list pointers and the temporaries, and
+    keeps the model above the measured peak at k = 5 and 6.  Q_k's bit
+    length is taken from logarithms, b = (k-1) + log2(gamma) (1 + n + ... +
+    n^(k-1)), so Q_k is never formed; inf when the float arithmetic
+    overflows.
+    """
+    try:
+        # 1 + n + ... + n^(k-1)
+        powers = float(k) if n == 1 else (float(n) ** k - 1.0) / (n - 1)
+        bits = (k - 1) + math.log2(gamma) * powers
+        return 3.0 * (float(gamma) ** k + 1.0) * (24 + 4 * math.ceil(bits / 30))
+    except OverflowError:
+        return math.inf
 
 
 def build_psi(params: KstParams) -> PsiTable:

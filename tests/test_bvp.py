@@ -6,11 +6,13 @@ import io
 import numpy as np
 import pytest
 
+from kstpde import bvp
 from kstpde.bvp import (
     KL,
     KU,
     BvpProblem,
     BvpSolution,
+    NonFiniteResidualError,
     SingularMatrixError,
     _collocation_band,
     _residual,
@@ -125,6 +127,46 @@ class TestNewtonSolve:
         assert len(sol.residual_history) == 2
 
 
+class TestNonFiniteResidual:
+    """A NaN or an infinity in the residual is a typed failure.  Reported
+    as a residual it would read converged=False with no step taken, because
+    nan > tol is false."""
+
+    @pytest.mark.parametrize(
+        "name, bad",
+        [("g", np.nan), ("g", np.inf), ("c1", np.nan), ("c1", -np.inf),
+         ("c0", np.nan), ("c0", np.inf), ("c2", np.nan), ("c2", 0.0)],
+    )
+    def test_coefficient_fails_before_the_step(self, name, bad):
+        def coefficients(z):
+            c = {"g": np.cos(z), "c1": np.zeros_like(z), "c0": np.zeros_like(z),
+                 "c2": np.ones_like(z)}
+            c[name][7] = bad
+            return c["g"], c["c1"], c["c0"], c["c2"]
+
+        problem = BvpProblem(z_min=0.0, z_max=1.0, coefficients=coefficients, n_nodes=21)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteResidualError) as exc:
+            newton_solve(problem)
+        # node 7 enters the W rows 2i+2 of intervals i = 6 and 7; 14 comes first
+        assert exc.value.row == 14
+        assert not np.isfinite(exc.value.value)
+        assert str(exc.value).startswith(
+            "collocation residual not finite before the step: row 14 is "
+        )
+
+    def test_state_fails_after_the_step(self, monkeypatch):
+        def overflowed(band, rhs_vec):
+            state = np.zeros_like(rhs_vec)
+            state[9] = np.inf  # W at node 4
+            return state
+
+        monkeypatch.setattr(bvp, "_solve_linear", overflowed)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteResidualError) as exc:
+            newton_solve(make_problem(np.cos, 21))
+        # W_4 enters the U rows 2i+1 of intervals i = 3 and 4; 7 comes first
+        assert str(exc.value) == "collocation residual not finite after the step: row 7 is -inf"
+
+
 class TestSparseJacobian:
     """The assembled collocation matrix on the depth-4 slice coefficients,
     whose c1/c2 and c0/c2 span many orders of magnitude.  The source is
@@ -191,6 +233,23 @@ class TestSolveLinear:
         with pytest.raises(SingularMatrixError) as exc:
             _solve_linear(band, np.ones(3))
         assert (exc.value.pivot_index, exc.value.pivot_value) == (1, 1e-306)
+
+    def test_nan_pivot_raises(self):
+        band = to_band(np.diag([1.0, np.nan, 2.0]))
+        with pytest.raises(SingularMatrixError) as exc:
+            _solve_linear(band, np.ones(3))
+        assert exc.value.pivot_index == 1 and np.isnan(exc.value.pivot_value)
+
+    def test_band_overflowing_to_inf_raises(self):
+        # finite coefficients whose ratio c0/c2 = 1e310 overflows the band to
+        # inf, so elimination leaves NaN pivots; the residual before the
+        # step is finite (1e9)
+        problem = BvpProblem(
+            z_min=0.0, z_max=1.0, coefficients=lambda z: (1.0, 0.0, 1e300, 1e-10), n_nodes=11
+        )
+        with np.errstate(all="ignore"), pytest.raises(SingularMatrixError) as exc:
+            newton_solve(problem)
+        assert np.isnan(exc.value.pivot_value)
 
 
 class TestExport:

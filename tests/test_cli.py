@@ -19,7 +19,7 @@ import scipy
 
 import kstpde
 from kstpde import cli, reduction
-from kstpde.bvp import SingularMatrixError, ode_residual
+from kstpde.bvp import NonFiniteResidualError, SingularMatrixError, ode_residual
 from kstpde.cli import main
 from kstpde.inner import build_psi, compute_constants, psi_inverse
 from kstpde.reduction import SliceProblem, compare_slice, solve_slice
@@ -187,6 +187,28 @@ class TestSolve:
         assert manifest["artifacts"] == {}
         assert manifest["error"] == {"type": "SingularMatrixError", "message": message}
 
+    def test_non_finite_residual_exits_1(self, tmp_path, capsys, monkeypatch):
+        # a NaN coefficient at node 10 is a typed failure in the manifest,
+        # not a slice reported as not converged after no step
+        real = reduction.first_order_system
+
+        def poisoned(sp):
+            coefficients = real(sp)
+
+            def with_nan(z):
+                g, c1, c0, c2 = coefficients(z)
+                return g, c1, np.where(np.arange(len(z)) == 10, np.nan, c0), c2
+
+            return with_nan
+
+        monkeypatch.setattr(reduction, "first_order_system", poisoned)
+        assert run(tmp_path, "solve", "--mesh", "101") == 1
+        message = "collocation residual not finite before the step: row 20 is nan"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        manifest = read_manifest(tmp_path)
+        assert manifest["artifacts"] == {}
+        assert manifest["error"] == {"type": NonFiniteResidualError.__name__, "message": message}
+
     def test_nonconverged_slice_names_residual_and_tol(self, tmp_path, capsys):
         assert run(tmp_path, "solve", "--mesh", "101", "--tol", "1e-300") == 1
         err = capsys.readouterr().err
@@ -331,6 +353,31 @@ class TestSlicePathUsageErrors:
         assert run(tmp_path, command, "--x2", x2, "--mesh", "101") == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestDepthLimit:
+    @pytest.mark.parametrize("k", ["8", "1,8"])
+    @pytest.mark.parametrize("command", ["psi", "solve", "sweep", "compare"])
+    def test_unbuildable_depth_is_usage_error(self, tmp_path, capsys, monkeypatch, command, k):
+        # refused before any table is built, the listed depth 1 included
+        def no_build(params):
+            raise AssertionError(f"build_psi called at k={params.k}")
+
+        monkeypatch.setattr(cli, "build_psi", no_build)
+        assert run(tmp_path, command, "--k", k) == 2
+        assert capsys.readouterr().err == (
+            "error: --k 8: building the psi table needs about 39.1 GiB (modelled), "
+            "above the 4 GiB limit\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_commands_without_depth_are_not_limited(self, tmp_path):
+        # a 10^8-node table would exceed the limit, but constants builds none
+        assert run(tmp_path, "constants", "--gamma", "100000000") == 0
+
+    def test_depths_up_to_7_are_accepted(self):
+        args = cli.build_parser().parse_args(["psi", "--k", "1,2,3,4,5,6,7"])
+        assert cli.resolve_config(args).k == [1, 2, 3, 4, 5, 6, 7]
 
 
 class TestCountUsageErrors:
@@ -495,24 +542,44 @@ class TestNoDriftFromFlagTable:
 # scipy.linalg's LAPACK band LU
 UNUSED_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.special", "scipy.fft")
 
+# one fresh interpreter: the scipy modules loaded after importing the CLI,
+# after the commands that solve no slice, and after a solve
+IMPORT_PROBE = """
+import json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import kstpde.cli
+from kstpde import checks
+state = {"import": loaded(), "rules_built": checks._gauss_legendre_40.cache_info().currsize}
+out = sys.argv[1]
+for argv in (["psi", "--k", "1"], ["constants"], ["bell"], ["taylor-check"]):
+    assert kstpde.cli.main(argv + ["--out", f"{out}/{argv[0]}"]) == 0
+state["no_solve"] = loaded()
+assert kstpde.cli.main(["solve", "--mesh", "51", "--out", f"{out}/solve"]) == 0
+state["solve"] = loaded()
+print(json.dumps(state))
+"""
 
-def test_cli_import_loads_no_unused_scipy_subpackage():
+
+def test_cli_import_loads_no_unused_scipy_subpackage(tmp_path):
     src = Path(kstpde.__file__).resolve().parent.parent
-    probe = (
-        "import json, sys\n"
-        "import kstpde.cli\n"
-        "from kstpde import checks\n"
-        "print(json.dumps({'loaded': sorted(m for m in sys.modules if m.startswith('scipy')),\n"
-        "                  'rules_built': checks._gauss_legendre_40.cache_info().currsize}))\n"
-    )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", IMPORT_PROBE, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    state = json.loads(result.stdout)
-    assert "scipy.linalg" in state["loaded"]
-    assert [m for m in UNUSED_SCIPY if m in state["loaded"]] == []
-    # the Gauss-Legendre rule is built on first use, not at import
+    state = json.loads(result.stdout.splitlines()[-1])
+    # importing the CLI loads no scipy module and builds no quadrature rule
+    assert state["import"] == []
     assert state["rules_built"] == 0
+    # commands that solve no slice never load scipy.linalg, yet their
+    # manifests still record the installed scipy version
+    assert "scipy.linalg" not in state["no_solve"]
+    for command in ("psi", "constants", "bell", "taylor-check"):
+        manifest = json.loads((tmp_path / command / "manifest.json").read_text())
+        assert manifest["versions"]["scipy"] == scipy.__version__
+    # the first band solve loads scipy.linalg, and nothing scipy.integrate pulls in
+    assert "scipy.linalg" in state["solve"]
+    assert [m for m in UNUSED_SCIPY if m in state["solve"]] == []

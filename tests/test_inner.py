@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from kstpde.inner import (
     MonotonicityError,
     build_grid,
     build_psi,
+    build_psi_peak_bytes,
     compute_constants,
     export_derivs_csv,
     export_psi_csv,
@@ -174,6 +176,26 @@ class TestPsiTable:
             build_psi(compute_constants(1, 4, 8, k=1))
         assert exc.value.nodes == (Fraction(1, 4), Fraction(2, 4))
         assert exc.value.values == (Fraction(3, 10), Fraction(3, 10))
+
+
+class TestBuildPeakModel:
+    @pytest.mark.parametrize(
+        "gamma, n, k", [(10, 2, k) for k in range(1, 6)] + [(4, 1, 6), (6, 2, 4)]
+    )
+    def test_matches_the_exact_denominator(self, gamma, n, k):
+        # Q_k's bit length from logarithms gives the digit count of Q_k itself
+        _, q = inner._psi_numerators(gamma, n, k)
+        int_bytes = 24 + 4 * math.ceil(q.bit_length() / 30)
+        assert build_psi_peak_bytes(gamma, n, k) == 3 * (gamma**k + 1) * int_bytes
+
+    def test_default_depths(self):
+        # about 11 MiB at k=5 and 160 MiB at k=6; 2.3 GiB at k=7, 39 GiB at k=8
+        peaks = [build_psi_peak_bytes(10, 2, k) for k in (5, 6, 7, 8)]
+        assert peaks == [12_000_120, 168_000_168, 2_520_000_252, 42_000_000_420]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_huge_depth_is_infinite_not_built(self, n):
+        assert build_psi_peak_bytes(10, n, 10**18) == math.inf
 
 
 class TestExport:
