@@ -1,11 +1,11 @@
 """Two-point boundary value solver for linear slice equations.
 
-c2 U'' + c1 U' + c0 U = g with U = 0 at both ends, written as U' = W,
-W' = (g - c1 W - c0 U)/c2 and discretised by trapezoidal collocation on a
+c2 U'' + c1 U' = g with U = 0 at both ends, written as U' = W,
+W' = (g - c1 W)/c2 and discretised by trapezoidal collocation on a
 uniform mesh.  The discrete system is linear, so one exact Newton step
 from zero solves it.  A row couples nodes i and i+1 only, so with the
 unknowns interleaved as (U0, W0, U1, W1, ...) the collocation matrix is
-banded with two sub- and two super-diagonals: it is assembled from the
+banded with one sub- and two super-diagonals: it is assembled from the
 coefficients straight into LAPACK band storage and factored once with
 dgbtrf, whose pivots are checked for singularity.  scipy.linalg is
 imported at the first factorisation, so importing this module loads
@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 CSV_BLOCK_ROWS = 1024  # rows formatted per write by write_csv
-KL = KU = 2  # sub- and super-diagonals of the interleaved collocation matrix
+KL, KU = 1, 2  # sub- and super-diagonals of the interleaved collocation matrix
 
 
 class SingularMatrixError(RuntimeError):
@@ -59,8 +59,8 @@ class NonFiniteResidualError(RuntimeError):
 
 @dataclass(frozen=True)
 class BvpProblem:
-    """Linear BVP c2 U'' + c1 U' + c0 U = g with U = 0 at both ends, on N
-    uniform nodes of [z_min, z_max]; ``coefficients(z)`` returns (g, c1, c0, c2)."""
+    """Linear BVP c2 U'' + c1 U' = g with U = 0 at both ends, on N uniform
+    nodes of [z_min, z_max]; ``coefficients(z)`` returns (g, c1, c2)."""
 
     z_min: float
     z_max: float
@@ -98,9 +98,9 @@ def _residual(problem: BvpProblem, state: np.ndarray) -> np.ndarray:
     """Trapezoid collocation residual of the interleaved state (U0, W0, U1,
     W1, ...), its rows in the order of ``_collocation_band``."""
     h = problem.nodes[1] - problem.nodes[0]
-    g, c1, c0, c2 = problem.mesh_coefficients
+    g, c1, c2 = problem.mesh_coefficients
     U, W = state[0::2], state[1::2]
-    dW = (g - c1 * W - c0 * U) / c2
+    dW = (g - c1 * W) / c2
     r = np.empty_like(state)
     r[0] = U[0]
     r[1:-1:2] = U[1:] - U[:-1] - 0.5 * h * (W[1:] + W[:-1])
@@ -112,7 +112,7 @@ def _residual(problem: BvpProblem, state: np.ndarray) -> np.ndarray:
 def _collocation_band(problem: BvpProblem) -> np.ndarray:
     """The Jacobian of ``_residual``, exact and independent of the state, in
     LAPACK band storage: entry (r, c) sits at [KL + KU + r - c, c], so band
-    row 4 holds the diagonal and row 4 - o the diagonal at offset c - r = o.
+    row 3 holds the diagonal and row 3 - o the diagonal at offset c - r = o.
 
     Columns are the interleaved unknowns (U0, W0, U1, W1, ...); rows run:
     the left boundary, then the U row and the W row of each interval, then
@@ -120,18 +120,16 @@ def _collocation_band(problem: BvpProblem) -> np.ndarray:
     """
     n = problem.n_nodes
     half = 0.5 * (problem.nodes[1] - problem.nodes[0])
-    _, c1, c0, c2 = problem.mesh_coefficients
-    a, b = half * c0 / c2, half * c1 / c2
+    _, c1, c2 = problem.mesh_coefficients
+    b = half * c1 / c2
     band = np.zeros((2 * KL + KU + 1, 2 * n), order="F")
     # the boundary rows: 1 on their end U
-    band[4, 0] = band[5, -2] = 1.0
+    band[3, 0] = band[4, -2] = 1.0
     # interval i's U row 2i+1: -1, +1 on U_i, U_i+1 and -h/2, -h/2 on W_i, W_i+1
-    band[5, :-2:2], band[3, 2::2] = -1.0, 1.0
-    band[4, 1:-1:2] = band[2, 3::2] = -half
-    # its W row 2i+2: (h/2) c0/c2 on U_i, U_i+1 and -1 + (h/2) c1/c2,
-    # +1 + (h/2) c1/c2 on W_i, W_i+1
-    band[6, :-2:2], band[4, 2::2] = a[:-1], a[1:]
-    band[5, 1:-1:2], band[3, 3::2] = b[:-1] - 1.0, b[1:] + 1.0
+    band[4, :-2:2], band[2, 2::2] = -1.0, 1.0
+    band[3, 1:-1:2] = band[1, 3::2] = -half
+    # its W row 2i+2: -1 + (h/2) c1/c2, +1 + (h/2) c1/c2 on W_i, W_i+1
+    band[4, 1:-1:2], band[2, 3::2] = b[:-1] - 1.0, b[1:] + 1.0
     return band
 
 

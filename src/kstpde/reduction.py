@@ -1,10 +1,10 @@
 """Reduction of the 2-D Poisson problem to one-dimensional slice BVPs.
 
 At truncation order zero the superposition collapses to a single unknown
-U(z) per fixed second coordinate.  Each slice carries a second-order ODE
-with psi-dependent coefficients, Dirichlet-zero endpoint conditions
-(after dividing out the nonzero endpoint brackets), and maps back to the
-2-D field through the aggregate variable z.
+U(z) per fixed second coordinate.  Each slice carries the chain form of
+the Poisson equation for u = U(z(x1, x2~)): a second-order linear ODE in z
+with psi-dependent coefficients and Dirichlet-zero ends, and maps back to
+the 2-D field through the aggregate variable z.
 """
 
 from __future__ import annotations
@@ -150,24 +150,20 @@ def _g_c2(slice_problem: SliceProblem, x1, d1):
 
 
 def first_order_system(slice_problem: SliceProblem) -> Callable:
-    """The callable z -> (g, c1, c0, c2) of the slice ODE c2 U'' + c1 U' +
-    c0 U = g, which the slice BVP evaluates once on its mesh.
-
-    One call makes one pass over the psi data: x1(z), then one order-3
-    psi_jet at x1.  The solver divides by c2, so a vanishing c2 is
-    rejected here.
+    """The callable z -> (g, c1, c2) of the slice ODE c2 U'' + c1 U' = g,
+    the chain form Delta(U(z)) = f divided by alpha_1 psi'(x1), which the
+    slice BVP evaluates once on its mesh: x1(z), then one order-2 psi_jet
+    at x1.  The solver divides by c2, so a vanishing c2 is rejected here.
     """
     a1, a2 = slice_problem.params.alpha_float[:2]
-    _, p1_x2, p2_x2 = slice_problem.jet_x2
+    p2_x2 = slice_problem.jet_x2[2]
 
     def coefficients(z):
-        x1, (p0, d1, d2, d3) = _x1_jet(z, slice_problem, 3)
+        x1, (_, d1, d2) = _x1_jet(z, slice_problem, 2)
         g, c2 = _g_c2(slice_problem, x1, d1)
         if np.any(c2 == 0.0):
             raise SingularJacobianError("c2 vanishes on the mesh; system is singular")
-        c1 = (a1**2 * d1**2 * d2 - a2**2 * p1_x2**2 * d2) / (a1**2 * d1**3)
-        num = a1 * a2 * d1**2 * d2 * p2_x2 + a2**2 * p1_x2**2 * (3.0 * d2 - p0 * d3)
-        return g, c1, num / (a1**3 * d1**5), c2
+        return g, (a1 * d2 + a2 * p2_x2) / (a1 * d1), c2
 
     return coefficients
 
@@ -175,8 +171,9 @@ def first_order_system(slice_problem: SliceProblem) -> Callable:
 def boundary_conditions(slice_problem: SliceProblem) -> tuple[float, float]:
     """The (left, right) endpoint brackets of a slice, at x1 = 0 and 1.
 
-    The printed brackets multiply U at z_min/z_max; when nonzero they
-    reduce to the Dirichlet-zero ends the BVP solver imposes.
+    They multiply U at z_min/z_max in the first reading of the paper's
+    printed end conditions; the chain form does not use them, but a
+    vanishing one is still rejected.
     """
     a1, a2 = slice_problem.params.alpha_float[:2]
     _, p1_x2, p2_x2 = slice_problem.jet_x2
@@ -228,9 +225,12 @@ def reduced_closed_form(
 ) -> np.ndarray:
     """Reference solution by double integration of g/c2 with zero endpoints.
 
-    Exact (up to quadrature) for slices whose c1 and c0 vanish, e.g. the
-    identity inner table at depth 1.  Integration runs on a mesh refined
-    by ``refine`` relative to z_nodes, then samples back.
+    That solves c2 U'' = g, the slice ODE only where c1 = 0, i.e. at depth
+    1; at k >= 2 it is another equation.  The exact quadrature, with weight
+    exp(int c1/c2), waits for a psi'' that is the derivative of psi': with
+    the forward-difference psi'' the integral spans about 200 at k=2, so the
+    weight loses its digits, and it overflows at k=3.  Integration runs on
+    a mesh refined by ``refine`` relative to z_nodes, then samples back.
     """
     z_min, z_max = slice_problem.bounds
     fine = np.linspace(z_min, z_max, refine * (len(z_nodes) - 1) + 1)

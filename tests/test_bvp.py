@@ -43,13 +43,23 @@ def to_dense(band):
     return dense
 
 
-def make_problem(g, n_nodes, c0=0.0, z_min=0.0, z_max=1.0):
-    """U'' + c0 U = g(z) with zero ends, as (g, c1, c0, c2) = (g, 0, c0, 1)."""
+def make_problem(g, n_nodes, c1=0.0, z_min=0.0, z_max=1.0):
+    """U'' + c1 U' = g(z) with zero ends, as (g, c1, c2) = (g, c1, 1)."""
 
     def coefficients(z):
-        return g(z), 0.0, c0, 1.0
+        return g(z), c1, 1.0
 
     return BvpProblem(z_min=z_min, z_max=z_max, coefficients=coefficients, n_nodes=n_nodes)
+
+
+BETA = 0.5
+
+
+def drifted_quadratic_source(z):
+    """g of U'' + BETA U' = g for U = z(z - 1).  W = U' is linear and
+    W' = g - BETA W = 2 is constant, so trapezoidal collocation returns U
+    exactly up to rounding."""
+    return 2.0 + BETA * (2.0 * z - 1.0)
 
 
 class TestNewtonSolve:
@@ -73,9 +83,10 @@ class TestNewtonSolve:
     def test_linear_problem_single_iteration(self):
         # the residual is linear, so one exact Newton step from zero meets
         # tol; a second step from the answer would not move it
-        problem = make_problem(lambda z: np.sin(3.0 * z), 201, c0=0.5)
+        problem = make_problem(drifted_quadratic_source, 201, c1=BETA)
         sol = newton_solve(problem)
         assert sol.converged and sol.iterations == 1
+        assert np.max(np.abs(sol.U - sol.nodes * (sol.nodes - 1.0))) <= 1e-14
         assert len(sol.residual_history) == 2
         assert sol.residual_history[-1] == ode_residual(sol, problem) <= 1e-10
         state = np.column_stack([sol.U, sol.W]).ravel()
@@ -84,9 +95,10 @@ class TestNewtonSolve:
 
     def test_linear_problem_at_1e5_nodes(self):
         # the banded Newton core keeps a 200,002-unknown slice to one step
-        problem = make_problem(lambda z: np.sin(3.0 * z), 100_001, c0=0.5)
+        problem = make_problem(drifted_quadratic_source, 100_001, c1=BETA)
         sol = newton_solve(problem)
         assert sol.converged and sol.iterations == 1
+        assert np.max(np.abs(sol.U - sol.nodes * (sol.nodes - 1.0))) <= 1e-11
 
     def test_second_order_mesh_convergence(self):
         # U'' = -pi^2 sin(pi z): trapezoidal error should drop ~4x per halving
@@ -135,14 +147,13 @@ class TestNonFiniteResidual:
     @pytest.mark.parametrize(
         "name, bad",
         [("g", np.nan), ("g", np.inf), ("c1", np.nan), ("c1", -np.inf),
-         ("c0", np.nan), ("c0", np.inf), ("c2", np.nan), ("c2", 0.0)],
+         ("c1", np.inf), ("c2", np.nan), ("c2", 0.0)],
     )
     def test_coefficient_fails_before_the_step(self, name, bad):
         def coefficients(z):
-            c = {"g": np.cos(z), "c1": np.zeros_like(z), "c0": np.zeros_like(z),
-                 "c2": np.ones_like(z)}
+            c = {"g": np.cos(z), "c1": np.zeros_like(z), "c2": np.ones_like(z)}
             c[name][7] = bad
-            return c["g"], c["c1"], c["c0"], c["c2"]
+            return c["g"], c["c1"], c["c2"]
 
         problem = BvpProblem(z_min=0.0, z_max=1.0, coefficients=coefficients, n_nodes=21)
         with np.errstate(all="ignore"), pytest.raises(NonFiniteResidualError) as exc:
@@ -169,7 +180,7 @@ class TestNonFiniteResidual:
 
 class TestSparseJacobian:
     """The assembled collocation matrix on the depth-4 slice coefficients,
-    whose c1/c2 and c0/c2 span many orders of magnitude.  The source is
+    whose c1/c2 spans many orders of magnitude.  The source is
     zero, so the residual is the matrix times the state: forward
     differences then see no rounding of the constant part: with the
     default source, g/c2 reaches 9e21 on this slice."""
@@ -203,8 +214,9 @@ class TestSparseJacobian:
         band = _collocation_band(problem)
         r = np.arange(2 * n)[None, :] + np.arange(-KL - KU, KL + 1)[:, None]
         c = np.broadcast_to(np.arange(2 * n), band.shape)
-        # boundary rows see their end node's U; the U and W rows of interval
-        # i (rows 2i+1, 2i+2) see nodes i and i+1
+        # boundary rows see their end node's U; the U row of interval i
+        # (row 2i+1) sees U and W of nodes i and i+1, its W row (row 2i+2)
+        # only W of nodes i and i+1
         interval = (r - 1) // 2
         in_stencil = np.where(
             r == 0,
@@ -212,11 +224,14 @@ class TestSparseJacobian:
             np.where(
                 r == 2 * n - 1,
                 c == 2 * n - 2,
-                (r > 0) & (r < 2 * n - 1) & ((c // 2 == interval) | (c // 2 == interval + 1)),
+                (r > 0)
+                & (r < 2 * n - 1)
+                & ((c // 2 == interval) | (c // 2 == interval + 1))
+                & ((r % 2 == 1) | (c % 2 == 1)),
             ),
         )
         assert np.all(band[~in_stencil] == 0.0)
-        assert np.count_nonzero(in_stencil) == 8 * n - 6
+        assert np.count_nonzero(in_stencil) == 6 * n - 4
 
 
 class TestSolveLinear:
@@ -241,11 +256,11 @@ class TestSolveLinear:
         assert exc.value.pivot_index == 1 and np.isnan(exc.value.pivot_value)
 
     def test_band_overflowing_to_inf_raises(self):
-        # finite coefficients whose ratio c0/c2 = 1e310 overflows the band to
+        # finite coefficients whose ratio c1/c2 = 1e310 overflows the band to
         # inf, so elimination leaves NaN pivots; the residual before the
         # step is finite (1e9)
         problem = BvpProblem(
-            z_min=0.0, z_max=1.0, coefficients=lambda z: (1.0, 0.0, 1e300, 1e-10), n_nodes=11
+            z_min=0.0, z_max=1.0, coefficients=lambda z: (1.0, 1e300, 1e-10), n_nodes=11
         )
         with np.errstate(all="ignore"), pytest.raises(SingularMatrixError) as exc:
             newton_solve(problem)

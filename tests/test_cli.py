@@ -196,8 +196,8 @@ class TestSolve:
             coefficients = real(sp)
 
             def with_nan(z):
-                g, c1, c0, c2 = coefficients(z)
-                return g, c1, np.where(np.arange(len(z)) == 10, np.nan, c0), c2
+                g, c1, c2 = coefficients(z)
+                return g, np.where(np.arange(len(z)) == 10, np.nan, c1), c2
 
             return with_nan
 
