@@ -195,7 +195,7 @@ def quadrature_transfer_error(coeffs, params: KstParams, table: PsiTable) -> flo
     z_min, z_max = sp.bounds
     nodes, weights = _gauss_legendre_40()
     z = (z_max - z_min) * (nodes + 1.0) / 2.0 + z_min
-    x1, (_, dpsi) = _x1_jet(z, sp, 1)  # one inversion for x1 and dx1/dz
+    x1, (_, dpsi, _) = _x1_jet(z, sp)  # one inversion for x1 and dx1/dz
     integrand = poly(x1) * (1.0 / (params.alpha_float[0] * dpsi))
     transferred = (z_max - z_min) / 2.0 * np.sum(weights * integrand)
     direct = poly.integ()(1.0) - poly.integ()(0.0)

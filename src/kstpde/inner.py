@@ -1,10 +1,16 @@
 """Sprecher constants and the Koeppen-corrected inner function psi.
 
 The inner function is tabulated on the grid of terminating base-gamma
-rationals, extended periodically outside [0, 1], and differentiated by
-forward differences with step gamma**-k.  Grid points and the shift
-constant ``a`` are exact rationals; psi node values are exact integers over
-one common denominator, viewed as float64 for evaluation.
+rationals and extended periodically outside [0, 1].  Grid points and the
+shift constant ``a`` are exact rationals; psi node values are exact
+integers over one common denominator, viewed as float64 for evaluation.
+
+The limit psi is not differentiable, so its derivatives are regularised at
+the grid scale: psi' is the forward difference (psi(x + D) - psi(x))/D with
+step D = gamma**-k, and psi'' the same forward difference of psi'.  For the
+piecewise-linear table both are linear interpolations of node tables
+formed from the exact integer increments, so no psi values are subtracted
+in floating point.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate, chain
 from typing import Sequence
 
 import numpy as np
@@ -159,6 +166,9 @@ class PsiTable:
 
     The exact node values are ``numerators[m] / denominator``;
     ``nodes``/``values`` are float64 views used for linear interpolation.
+    ``slopes[m]`` is the slope of cell m, its exact increment over
+    gamma**-k rounded once, with ``slopes[gamma**k] = slopes[0]`` from the
+    periodic extension: psi' at node m.
     """
 
     grid: GridD
@@ -166,6 +176,7 @@ class PsiTable:
     denominator: int
     nodes: np.ndarray = field(repr=False, compare=False)
     values: np.ndarray = field(repr=False, compare=False)
+    slopes: np.ndarray = field(repr=False, compare=False)
 
     @property
     def gamma(self) -> int:
@@ -176,39 +187,43 @@ class PsiTable:
         return self.grid.k
 
     @cached_property
-    def exact_values(self) -> tuple[Fraction, ...]:
-        """The rational node values, for exact cross-checks."""
-        return tuple(Fraction(v, self.denominator) for v in self.numerators)
-
-    @cached_property
     def delta(self) -> float:
         """Differencing step, gamma**-k rounded once."""
         return 1 / self.gamma**self.k
 
+    @cached_property
+    def derivative_nodes(self) -> np.ndarray:
+        """psi' and psi'' at nodes 0..gamma**k + 1, as two rows: ``slopes``
+        and their forward differences times gamma**k, both periodic."""
+        slopes = np.append(self.slopes, self.slopes[1])
+        return np.stack([slopes, np.diff(slopes, append=slopes[2]) * len(self.grid)])
 
-def _psi_numerators(gamma: int, n: int, k: int) -> tuple[list[int], int]:
-    """psi at m/gamma^k, m = 0..gamma^k, as integers over Q_k (returned second).
+
+def _psi_increments(gamma: int, n: int, k: int) -> tuple[list[int], int]:
+    """The cell increments N_(m+1) - N_m, m = 0..gamma^k - 1, of psi's node
+    numerators N_m over Q_k (returned second).
 
     Level l has denominator Q_l = 2^(l-1) gamma^(1+n+...+n^(l-1)); level 1
-    is the identity m/gamma.  Trailing digit i < gamma-1 adds
-    i gamma^-(1+n+...+n^(l-1)) = i 2^(l-1)/Q_l to the prefix's level-(l-1)
-    value; digit gamma-1 averages its left neighbour at level l and its
-    right neighbour at level l-1 (Koeppen's fix).  psi(1) = 1 is appended.
+    is the identity m/gamma, every increment 1.  Trailing digit i < gamma-1
+    adds i gamma^-(1+n+...+n^(l-1)) = i 2^(l-1)/Q_l to the prefix's
+    level-(l-1) value, and digit gamma-1 averages its left neighbour at level
+    l and its right neighbour at level l-1 (Koeppen's fix).  So a parent cell
+    of increment D, D scale over Q_l with scale = Q_l/Q_(l-1), splits into
+    gamma-2 cells of 2^(l-1) and two cells of (D scale - (gamma-2) 2^(l-1))/2.
+    A level has at most l distinct increments, so each is split once.
     """
-    nums, q = list(range(gamma + 1)), gamma
+    incs, q = [1] * gamma, gamma
     for level in range(2, k + 1):
-        scale = 2 * gamma ** (n ** (level - 1))  # Q_l / Q_(l-1)
-        digits = [i * 2 ** (level - 1) for i in range(gamma - 1)]
-        out = []
-        for prev, nxt in zip(nums, nums[1:]):
-            base = prev * scale
-            out += [base + d for d in digits]
-            total = out[-1] + nxt * scale
-            assert total % 2 == 0  # both terms are even, so the halving is exact
-            out.append(total // 2)
+        scale = 2 * gamma ** (n ** (level - 1))
+        unit = 2 ** (level - 1)
+        split = {}
+        for d in set(incs):
+            rest = d * scale - (gamma - 2) * unit
+            assert rest % 2 == 0  # both terms are even, so the halving is exact
+            split[d] = [unit] * (gamma - 2) + [rest // 2] * 2
+        incs = list(chain.from_iterable(map(split.__getitem__, incs)))
         q *= scale
-        nums = out + [q]
-    return nums, q
+    return incs, q
 
 
 def build_psi_peak_bytes(gamma: int, n: int, k: int) -> float:
@@ -234,19 +249,30 @@ def build_psi_peak_bytes(gamma: int, n: int, k: int) -> float:
 def build_psi(params: KstParams) -> PsiTable:
     """Build the psi table for params.gamma, params.k.
 
-    Raises MonotonicityError if the produced values are not strictly
-    increasing across the grid.
+    Raises MonotonicityError if an exact cell increment is not positive.
     """
     gamma, k = params.gamma, params.k
-    nums, q = _psi_numerators(gamma, params.n, k)
+    incs, q = _psi_increments(gamma, params.n, k)
+    nums = tuple(accumulate(incs, initial=0))
     size = gamma**k
-    for i, (lo, hi) in enumerate(zip(nums, nums[1:])):
-        if not lo < hi:
-            raise MonotonicityError(
-                Fraction(i, size), Fraction(lo, q), Fraction(i + 1, size), Fraction(hi, q)
-            )
-    values = np.array([v / q for v in nums])  # int / int rounds correctly, as float(Fraction)
-    return PsiTable(build_grid(gamma, k), tuple(nums), q, np.arange(size + 1) / size, values)
+    if min(incs) <= 0:
+        m = next(m for m, inc in enumerate(incs) if inc <= 0)
+        raise MonotonicityError(
+            Fraction(m, size), Fraction(nums[m], q), Fraction(m + 1, size), Fraction(nums[m + 1], q)
+        )
+    # v / q for each numerator v: int / int rounds correctly, as float(Fraction)
+    values = np.fromiter(map(q.__rtruediv__, nums), float, size + 1)
+    # gamma**k divides Q_k, so a slope is one integer quotient, rounded once;
+    # the increments take at most k values, each divided once
+    cell = q // size
+    rate = {inc: inc / cell for inc in set(incs)}
+    slopes = np.fromiter(map(rate.__getitem__, chain(incs, incs[:1])), float, size + 1)
+    nodes = np.arange(size + 1) / size
+    return PsiTable(build_grid(gamma, k), nums, q, nodes, values, slopes)
+
+
+def _scalar_or_array(out: np.ndarray):
+    return float(out) if out.ndim == 0 else out
 
 
 def psi_eval(table: PsiTable, x):
@@ -258,79 +284,54 @@ def psi_eval(table: PsiTable, x):
     x = np.asarray(x, dtype=float)
     base = np.floor(x)
     frac = x - base
-    out = np.interp(frac, table.nodes, table.values) + base
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(np.interp(frac, table.nodes, table.values) + base)
 
 
-def psi_jet(table: PsiTable, x, order: int) -> list:
-    """[psi, psi', ..., psi^(order)] at x, order 1..3, from one difference table.
+_SPLIT = 2.0**26  # (frac + _SPLIT) - _SPLIT is frac rounded to a multiple of 2**-26
 
-    psi is evaluated once at each of x, x+D, ..., x+order*D with
-    D = gamma**-k, each point the previous one plus D.  Entry j is the j-th
-    forward difference of those values divided by D**j, each level the
-    forward difference of the level below.  Points past the tabulated
-    period rely on the periodic extension of psi.
+
+def _cell(table: PsiTable, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cell index m in 0..gamma**k and offset t in [0, 1] with
+    frac(x) gamma**k = m + t.
+
+    One float product frac(x) * gamma**k would misplace t by up to
+    gamma**k * 2**-53.  frac's leading 26 bits times gamma**k < 2**26 are
+    exact, and the remainder's product errs by about gamma**k * 2**-80, so
+    t carries about one rounding.
     """
-    if order not in (1, 2, 3):
-        raise ValueError(f"derivative order must be 1, 2 or 3, got {order}")
-    d = table.delta
-    points = [np.asarray(x, dtype=float)]
-    for _ in range(order):
-        points.append(points[-1] + d)
-    diffs = [psi_eval(table, p) for p in points]
-    jet = [diffs[0]]
-    for _ in range(order):
-        diffs = [(hi - lo) / d for lo, hi in zip(diffs, diffs[1:])]
-        jet.append(diffs[0])
+    size = len(table.grid)
+    frac = x - np.floor(x)
+    hi = (frac + _SPLIT) - _SPLIT
+    p_hi = size * hi
+    whole = np.floor(p_hi)
+    rest = (p_hi - whole) + size * (frac - hi)
+    carry = np.floor(rest)  # -1, 0 or 1
+    return (whole + carry).astype(np.intp), rest - carry
+
+
+def psi_jet(table: PsiTable, x) -> list:
+    """[psi, psi', psi''] at x (scalar or array).
+
+    psi' is the forward difference (psi(x + D) - psi(x))/D at D = gamma**-k
+    and psi'' the same difference of psi'.  On the piecewise-linear table
+    they are the linear interpolations of ``derivative_nodes`` between the
+    nodes around x, so psi is evaluated once.
+    """
+    x = np.asarray(x, dtype=float)
+    m, t = _cell(table, x)
+    m_next, t_left = m + 1, 1.0 - t
+    jet = [psi_eval(table, x)]
+    for at_nodes in table.derivative_nodes:
+        jet.append(_scalar_or_array(t_left * at_nodes[m] + t * at_nodes[m_next]))
     return jet
 
 
 def psi_derivative(table: PsiTable, order: int, x):
-    """Forward-difference derivative of psi of the given order (1..3):
-    the last entry of ``psi_jet(table, x, order)``."""
-    return psi_jet(table, x, order)[order]
-
-
-def psi_eval_exact(table: PsiTable, x: Fraction) -> Fraction:
-    """Exact piecewise-linear evaluation for rational x.
-
-    Same interpolant as psi_eval but free of float rounding; used by the
-    exact inverse and by cross-check oracles.
-    """
-    if not isinstance(x, Fraction):
-        x = Fraction(x)
-    base = x.numerator // x.denominator
-    frac = x - base
-    denom = table.gamma**table.k
-    m = (frac.numerator * denom) // frac.denominator  # floor(frac * gamma^k)
-    if m >= denom:
-        m = denom - 1
-    left = Fraction(m, denom)
-    v_left = table.exact_values[m]
-    v_right = table.exact_values[m + 1]
-    return v_left + (frac - left) * denom * (v_right - v_left) + base
-
-
-def psi_inverse_exact(table: PsiTable, y: Fraction) -> Fraction:
-    """Exact inverse of the piecewise-linear interpolant on [0, 1].
-
-    Bisection over node values followed by an exact linear solve; the
-    roundtrip with psi_eval_exact is exact because the interpolant is
-    strictly increasing.
-    """
-    import bisect
-
-    if not isinstance(y, Fraction):
-        y = Fraction(y)
-    if y < 0 or y > 1:
-        raise ValueError(f"y={y} outside the range of psi over [0, 1], which is [0, 1]")
-    values = table.exact_values
-    m = bisect.bisect_right(values, y) - 1
-    if m >= len(values) - 1:
-        m = len(values) - 2
-    denom = table.gamma**table.k
-    v_left, v_right = values[m], values[m + 1]
-    return Fraction(m, denom) + (y - v_left) / (v_right - v_left) / denom
+    """Forward-difference derivative of psi of order 1 or 2: entry
+    ``order`` of ``psi_jet(table, x)``."""
+    if order not in (1, 2):
+        raise ValueError(f"derivative order must be 1 or 2, got {order}")
+    return psi_jet(table, x)[order]
 
 
 def psi_inverse(table: PsiTable, y):
@@ -343,8 +344,7 @@ def psi_inverse(table: PsiTable, y):
         raise ValueError(
             f"y={y} outside the range of psi over [0, 1], which is [0, 1]"
         )
-    out = np.interp(y_arr, table.values, table.nodes)
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(np.interp(y_arr, table.values, table.nodes))
 
 
 def z_map(params: KstParams, table: PsiTable, x: Sequence[float]):
@@ -363,5 +363,5 @@ def export_psi_csv(table: PsiTable, path) -> None:
 def export_derivs_csv(table: PsiTable, xs, path) -> None:
     """Write x,psi,dpsi,d2psi rows at the given query points."""
     xs = np.asarray(xs, dtype=float)
-    columns = [np.atleast_1d(c) for c in (xs, *psi_jet(table, xs, 2))]
+    columns = [np.atleast_1d(c) for c in (xs, *psi_jet(table, xs))]
     write_csv(path, ["x", "psi", "dpsi", "d2psi"], np.column_stack(columns))

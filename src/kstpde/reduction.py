@@ -31,7 +31,6 @@ __all__ = [
     "Field2D",
     "SliceReport",
     "DegenerateBoundaryError",
-    "SingularJacobianError",
     "default_source",
     "x1_of_z",
     "jacobian_factor",
@@ -50,10 +49,6 @@ __all__ = [
 class DegenerateBoundaryError(RuntimeError):
     """An endpoint bracket coefficient is numerically zero; the condition
     at that endpoint is vacuous rather than Dirichlet."""
-
-
-class SingularJacobianError(RuntimeError):
-    """psi' vanished where the change of variables requires dividing by it."""
 
 
 def default_source(x1, x2):
@@ -109,7 +104,7 @@ class SliceProblem:
     @cached_property
     def jet_x2(self) -> list[float]:
         """psi, psi' and psi'' at x2~, constant along the slice."""
-        return psi_jet(self.table, self.x2_tilde, 2)
+        return psi_jet(self.table, self.x2_tilde)
 
 
 def x1_of_z(z, slice_problem: SliceProblem):
@@ -123,21 +118,16 @@ def x1_of_z(z, slice_problem: SliceProblem):
     return psi_inverse(slice_problem.table, y)
 
 
-def _x1_jet(z, slice_problem: SliceProblem, order: int):
-    """x1(z) on the slice and psi_jet at x1 up to ``order``.  The change of
-    variables divides by psi'(x1), so a vanishing psi' is rejected here."""
+def _x1_jet(z, slice_problem: SliceProblem):
+    """x1(z) on the slice and psi_jet at x1.  The change of variables
+    divides by psi'(x1), which the exact slopes keep positive."""
     x1 = x1_of_z(z, slice_problem)
-    jet = psi_jet(slice_problem.table, x1, order)
-    if np.any(np.asarray(jet[1]) == 0.0):
-        raise SingularJacobianError(
-            f"psi' vanishes at x1={x1} (z={z}, x2~={slice_problem.x2_tilde})"
-        )
-    return x1, jet
+    return x1, psi_jet(slice_problem.table, x1)
 
 
 def jacobian_factor(z, slice_problem: SliceProblem):
     """Change-of-variables factor dx1/dz = 1/(alpha_1 psi'(x1(z)))."""
-    _, (_, dpsi) = _x1_jet(z, slice_problem, 1)
+    _, (_, dpsi, _) = _x1_jet(z, slice_problem)
     return 1.0 / (slice_problem.params.alpha_float[0] * dpsi)
 
 
@@ -152,17 +142,15 @@ def _g_c2(slice_problem: SliceProblem, x1, d1):
 def first_order_system(slice_problem: SliceProblem) -> Callable:
     """The callable z -> (g, c1, c2) of the slice ODE c2 U'' + c1 U' = g,
     the chain form Delta(U(z)) = f divided by alpha_1 psi'(x1), which the
-    slice BVP evaluates once on its mesh: x1(z), then one order-2 psi_jet
-    at x1.  The solver divides by c2, so a vanishing c2 is rejected here.
+    slice BVP evaluates once on its mesh: x1(z), then one psi_jet at x1.
+    psi' > 0, so c2 > 0 for the solver to divide by.
     """
     a1, a2 = slice_problem.params.alpha_float[:2]
     p2_x2 = slice_problem.jet_x2[2]
 
     def coefficients(z):
-        x1, (_, d1, d2) = _x1_jet(z, slice_problem, 2)
+        x1, (_, d1, d2) = _x1_jet(z, slice_problem)
         g, c2 = _g_c2(slice_problem, x1, d1)
-        if np.any(c2 == 0.0):
-            raise SingularJacobianError("c2 vanishes on the mesh; system is singular")
         return g, (a1 * d2 + a2 * p2_x2) / (a1 * d1), c2
 
     return coefficients
@@ -177,7 +165,7 @@ def boundary_conditions(slice_problem: SliceProblem) -> tuple[float, float]:
     """
     a1, a2 = slice_problem.params.alpha_float[:2]
     _, p1_x2, p2_x2 = slice_problem.jet_x2
-    _, d1, d2 = psi_jet(slice_problem.table, np.array([0.0, 1.0]), 2)
+    _, d1, d2 = psi_jet(slice_problem.table, np.array([0.0, 1.0]))
     left, right = (
         (a2**2 * p1_x2**2 * d2 + a1 * a2 * d1**2 * p2_x2) / (a1**2 * d1**3)
         + a1 * d1
@@ -227,14 +215,17 @@ def reduced_closed_form(
 
     That solves c2 U'' = g, the slice ODE only where c1 = 0, i.e. at depth
     1; at k >= 2 it is another equation.  The exact quadrature, with weight
-    exp(int c1/c2), waits for a psi'' that is the derivative of psi': with
-    the forward-difference psi'' the integral spans about 200 at k=2, so the
-    weight loses its digits, and it overflows at k=3.  Integration runs on
-    a mesh refined by ``refine`` relative to z_nodes, then samples back.
+    exp(int c1/c2), waits for an x1 mesh aligned with the psi cells and
+    coefficients taken per cell: on a uniform z mesh of 1001 nodes the
+    integral spans about 400 at k=2 (x2~ = 0.5), and still about 190 with a
+    psi'' constant on each cell, because the mesh samples the narrow spikes
+    of c1/c2 at single nodes, so the weight loses its digits.  Integration
+    runs on a mesh refined by ``refine`` relative to z_nodes, then samples
+    back.
     """
     z_min, z_max = slice_problem.bounds
     fine = np.linspace(z_min, z_max, refine * (len(z_nodes) - 1) + 1)
-    x1, (_, d1) = _x1_jet(fine, slice_problem, 1)
+    x1, (_, d1, _) = _x1_jet(fine, slice_problem)
     g, c2 = _g_c2(slice_problem, x1, d1)
     rhs = g / c2
     steps = np.diff(fine)

@@ -67,22 +67,22 @@ def bell_tilde(
     """q-independent Bell aggregate over psi derivatives.
 
     Evaluates B_{m,k}(A_1, ..., A_{m-k+1}) with
-    A_i = sum_p alpha_p * psi^(i)(x_p).  Derivative orders beyond the
-    supported differencing (3) are rejected.
+    A_i = sum_p alpha_p * psi^(i)(x_p).  Derivative orders beyond psi_jet's
+    (2) are rejected.
     """
     if len(x) != params.n:
         raise ValueError(f"x must have length n={params.n}, got {len(x)}")
     if m == 0 and k == 0:
         return 1.0
     length = m - k + 1
-    if length > 3:
+    if length > 2:
         raise ValueError(
             f"B~_{{{m},{k}}} needs psi derivatives to order {length}; "
-            "difference derivatives are supported up to order 3"
+            "difference derivatives are supported up to order 2"
         )
     alpha = params.alpha_float
     # length < 1 means k > m, which bell_polynomial rejects
-    jets = [psi_jet(table, x_p, length) for x_p in x] if length >= 1 else []
+    jets = [psi_jet(table, x_p) for x_p in x] if length >= 1 else []
     args = [
         sum(a_p * jet[i] for a_p, jet in zip(alpha, jets)) for i in range(1, length + 1)
     ]

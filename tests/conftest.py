@@ -31,3 +31,8 @@ def params_k4():
 @pytest.fixture(scope="session")
 def table_k4(params_k4):
     return build_psi(params_k4)
+
+
+@pytest.fixture(scope="session")
+def table_k5():
+    return build_psi(compute_constants(2, 10, 8, k=5))

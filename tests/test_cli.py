@@ -77,6 +77,13 @@ class TestPsi:
             "psi_k1.csv", "psi_derivs_k1.csv", "psi_k3.csv", "psi_derivs_k3.csv",
         }
 
+    def test_k5_prints_exact_increments(self, tmp_path, capsys):
+        # most float64 node values at depth 5 do not increase; the printed
+        # increments come from the exact ones, the smallest 1e-31
+        assert run(tmp_path, "psi", "--k", "5") == 0
+        line = "k=5: 100001 nodes, min increment 1.000e-31, max increment 5.750e-03"
+        assert line in capsys.readouterr().out.splitlines()
+
     def test_manifest_checksums_match_files(self, tmp_path):
         assert run(tmp_path, "psi", "--k", "2") == 0
         manifest = read_manifest(tmp_path)

@@ -1,5 +1,6 @@
 """Inner function: grid, constants, recursion, interpolation, inversion."""
 
+import bisect
 import csv
 import hashlib
 import math
@@ -21,9 +22,7 @@ from kstpde.inner import (
     export_psi_csv,
     psi_derivative,
     psi_eval,
-    psi_eval_exact,
     psi_inverse,
-    psi_inverse_exact,
     psi_jet,
     z_map,
 )
@@ -31,6 +30,42 @@ from kstpde.inner import (
 # sha256 of psi_k5.csv (gamma=10, n=2, 8 terms) as written by the
 # Fraction-recursion build with a csv.writer row loop
 PSI_K5_SHA256 = "0aa5104323e1ce3c63dca812a8cdd1a031271f75b8014b02ca751774570d6ce0"
+
+
+def exact_values(table):
+    """The rational node values of a table."""
+    return [Fraction(v, table.denominator) for v in table.numerators]
+
+
+def psi_eval_exact(table, x: Fraction) -> Fraction:
+    """The piecewise-linear psi at rational x in exact arithmetic, with
+    the periodic extension psi(x) = psi(x - floor(x)) + floor(x)."""
+    base = math.floor(x)
+    size = len(table.grid)
+    pos = (x - base) * size
+    m = min(math.floor(pos), size - 1)
+    lo, hi = table.numerators[m], table.numerators[m + 1]
+    return (lo + (pos - m) * (hi - lo)) / table.denominator + base
+
+
+def psi_inverse_exact(table, y: Fraction) -> Fraction:
+    """Exact inverse of the strictly increasing piecewise-linear psi on [0, 1]."""
+    nums, size = table.numerators, len(table.grid)
+    yq = y * table.denominator
+    m = min(bisect.bisect_right(nums, yq) - 1, size - 1)
+    return (m + (yq - nums[m]) / (nums[m + 1] - nums[m])) / size
+
+
+def exact_rule(table, x: Fraction) -> tuple[Fraction, Fraction]:
+    """psi' and psi'' by the forward-difference rule at step gamma**-k,
+    (psi(x + D) - psi(x))/D and the same difference of psi', in exact
+    arithmetic on the exact table."""
+    step = Fraction(1, len(table.grid))
+
+    def dpsi(y):
+        return (psi_eval_exact(table, y + step) - psi_eval_exact(table, y)) / step
+
+    return dpsi(x), (dpsi(x + step) - dpsi(x)) / step
 
 
 def koeppen_reference(m, level, gamma, n):
@@ -123,19 +158,19 @@ class TestConstants:
 
 class TestPsiTable:
     def test_k1_is_identity_at_nodes(self, table_k1):
-        for d, v in zip(table_k1.grid.points, table_k1.exact_values):
+        for d, v in zip(table_k1.grid.points, exact_values(table_k1)):
             assert v == d
 
     def test_appending_zero_digit_changes_nothing(self):
         p2 = compute_constants(2, 10, 8, k=2)
         t2 = build_psi(p2)
         t1 = build_psi(compute_constants(2, 10, 8, k=1))
-        for m in range(10):
-            assert t2.exact_values[10 * m] == t1.exact_values[m]
+        assert exact_values(t2)[::10] == exact_values(t1)
 
     def test_k4_against_independent_evaluator(self, table_k4):
+        vals = exact_values(table_k4)
         for m in range(0, 10000, 37):  # stride keeps this cheap
-            assert table_k4.exact_values[m] == koeppen_reference(m, 4, 10, 2)
+            assert vals[m] == koeppen_reference(m, 4, 10, 2)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_integer_table_at_every_node(self, k):
@@ -145,33 +180,35 @@ class TestPsiTable:
             assert Fraction(v, table.denominator) == koeppen_reference(m, k, 10, 2)
 
     def test_exact_values_are_the_numerators_over_q(self, table_k4):
+        # the float64 node values are the exact numerators over q, rounded once
         assert table_k4.denominator == 2**3 * 10 ** (1 + 2 + 4 + 8)
-        assert len(table_k4.exact_values) == len(table_k4.numerators)
-        for v, num in zip(table_k4.exact_values, table_k4.numerators):
-            assert v == Fraction(num, table_k4.denominator)
+        assert len(table_k4.values) == len(table_k4.numerators)
+        for v, num in zip(table_k4.values, table_k4.numerators):
+            assert v == float(Fraction(num, table_k4.denominator))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_strictly_monotone(self, k):
         table = build_psi(compute_constants(2, 10, 8, k=k))
-        vals = table.exact_values
+        vals = exact_values(table)
         assert all(vals[i] < vals[i + 1] for i in range(len(vals) - 1))
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_nesting_with_previous_depth(self, k):
         t_prev = build_psi(compute_constants(2, 10, 8, k=k - 1))
         t_k = build_psi(compute_constants(2, 10, 8, k=k))
-        for m, v in enumerate(t_prev.exact_values[:-1]):
-            assert t_k.exact_values[10 * m] == v
+        fine = exact_values(t_k)
+        for m, v in enumerate(exact_values(t_prev)[:-1]):
+            assert fine[10 * m] == v
 
     def test_range_and_origin(self, table_k4):
-        vals = table_k4.exact_values
+        vals = exact_values(table_k4)
         assert vals[0] == 0
         assert all(0 <= v <= 1 for v in vals)
 
     def test_flat_pair_raises_with_exact_arguments(self, monkeypatch):
         # a broken build (second and third node equal) is reported on the
         # first offending pair, with nodes and values as Fractions
-        monkeypatch.setattr(inner, "_psi_numerators", lambda g, n, k: ([0, 3, 3, 9, 10], 10))
+        monkeypatch.setattr(inner, "_psi_increments", lambda g, n, k: ([3, 0, 6, 1], 10))
         with pytest.raises(MonotonicityError) as exc:
             build_psi(compute_constants(1, 4, 8, k=1))
         assert exc.value.nodes == (Fraction(1, 4), Fraction(2, 4))
@@ -184,7 +221,7 @@ class TestBuildPeakModel:
     )
     def test_matches_the_exact_denominator(self, gamma, n, k):
         # Q_k's bit length from logarithms gives the digit count of Q_k itself
-        _, q = inner._psi_numerators(gamma, n, k)
+        _, q = inner._psi_increments(gamma, n, k)
         int_bytes = 24 + 4 * math.ceil(q.bit_length() / 30)
         assert build_psi_peak_bytes(gamma, n, k) == 3 * (gamma**k + 1) * int_bytes
 
@@ -199,9 +236,9 @@ class TestBuildPeakModel:
 
 
 class TestExport:
-    def test_psi_k5_table_unchanged(self, tmp_path):
+    def test_psi_k5_table_unchanged(self, table_k5, tmp_path):
         path = tmp_path / "psi_k5.csv"
-        export_psi_csv(build_psi(compute_constants(2, 10, 8, k=5)), path)
+        export_psi_csv(table_k5, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == PSI_K5_SHA256
 
     def test_derivs_match_rowwise_csv_writer(self, table_k4, tmp_path):
@@ -255,19 +292,41 @@ def recursive_derivative(table, order, x):
 
 class TestPsiDerivative:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_difference_table_matches_recursion_bit_for_bit(self, k):
+    def test_matches_float_recursion(self, k):
+        # the recursion subtracts float psi values at x and at x + D rounded
+        # to a float, so its error grows like gamma**k ulps of the jet's maximum
         table = build_psi(compute_constants(2, 10, 8, k=k))
         d = table.delta
         edges = [0.0, d, 1.0 - 3 * d, 1.0 - 2 * d, 1.0 - d, np.nextafter(1.0, 0.0), 1.0]
         xs = np.concatenate([np.random.default_rng(k).uniform(0.0, 1.0, 5000), edges])
-        for order in (1, 2, 3):
-            assert np.array_equal(
-                psi_derivative(table, order, xs), recursive_derivative(table, order, xs)
-            )
-            for x in edges:
-                value = psi_derivative(table, order, x)
-                assert type(value) is float
-                assert value == recursive_derivative(table, order, x)
+        jet = psi_jet(table, xs)
+        scale = max(np.abs(entry).max() for entry in jet)
+        tol = 5e-14 * 10 ** max(k - 2, 0) * scale
+        for order in (1, 2):
+            assert np.abs(jet[order] - recursive_derivative(table, order, xs)).max() <= tol
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_matches_exact_rule_in_fractions(self, k, table_k5):
+        # psi' and psi'' against the same rule in exact arithmetic at the
+        # same points, random floats read as the rationals they are
+        table = table_k5 if k == 5 else build_psi(compute_constants(2, 10, 8, k=k))
+        rng = np.random.default_rng(100 + k)
+        xs = np.concatenate([rng.uniform(0.0, 1.0, 300), rng.uniform(1.0, 3.0, 20)])
+        xs = np.append(xs, [0.0, 0.5, np.nextafter(1.0, 0.0), 1.0])
+        _, d1, d2 = psi_jet(table, xs)
+        ulp1 = np.spacing(table.slopes.max())
+        ulp2 = np.spacing(np.abs(table.derivative_nodes[1]).max())
+        for x, got1, got2 in zip(xs, d1, d2):
+            want1, want2 = exact_rule(table, Fraction(x))
+            assert abs(got1 - want1) <= 4 * ulp1
+            assert abs(got2 - want2) <= 4 * ulp2
+
+    def test_k5_psi_prime_positive(self, table_k5):
+        # every exact increment is positive (the smallest is 1e-31), so the
+        # slopes are too, though most float64 node values do not increase
+        xs = np.random.default_rng(5).uniform(0.0, 1.0, 20_000)
+        assert np.all(psi_derivative(table_k5, 1, xs) > 0.0)
+        assert np.all(psi_derivative(table_k5, 1, table_k5.nodes) > 0.0)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_jet_entries_equal_eval_and_derivative(self, k):
@@ -275,21 +334,19 @@ class TestPsiDerivative:
         d = table.delta
         edges = [0.0, d, 1.0 - 3 * d, 1.0 - 2 * d, 1.0 - d, np.nextafter(1.0, 0.0), 1.0]
         xs = np.concatenate([np.random.default_rng(k).uniform(0.0, 1.0, 5000), edges])
-        for order in (1, 2, 3):
-            jet = psi_jet(table, xs, order)
-            assert len(jet) == order + 1
-            assert np.array_equal(jet[0], psi_eval(table, xs))
-            for j in range(1, order + 1):
-                assert np.array_equal(jet[j], psi_derivative(table, j, xs))
-            for x in edges:
-                jet = psi_jet(table, x, order)
-                assert all(type(v) is float for v in jet)
-                assert jet == [psi_eval(table, x)] + [
-                    psi_derivative(table, j, x) for j in range(1, order + 1)
-                ]
+        jet = psi_jet(table, xs)
+        assert len(jet) == 3
+        assert np.array_equal(jet[0], psi_eval(table, xs))
+        for j in (1, 2):
+            assert np.array_equal(jet[j], psi_derivative(table, j, xs))
+        for x in edges:
+            jet = psi_jet(table, x)
+            assert all(type(v) is float for v in jet)
+            assert jet == [psi_eval(table, x)] + [psi_derivative(table, j, x) for j in (1, 2)]
 
-    @pytest.mark.parametrize("order", [1, 2, 3])
-    def test_one_psi_evaluation_per_point_set(self, table_k4, order, monkeypatch):
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_one_psi_evaluation_per_point_set(self, k, monkeypatch):
+        table = build_psi(compute_constants(2, 10, 8, k=k))
         sizes = []
 
         def counting_eval(table, x):
@@ -297,32 +354,28 @@ class TestPsiDerivative:
             return psi_eval(table, x)
 
         monkeypatch.setattr(inner, "psi_eval", counting_eval)
-        psi_derivative(table_k4, order, np.linspace(0.0, 1.0, 11))
-        assert sizes == [11] * (order + 1)
+        psi_jet(table, np.linspace(0.0, 1.0, 11))
+        assert sizes == [11]
 
     def test_identity_first_derivative(self, table_k1):
         for x in np.linspace(0.0, 0.9, 19):
-            assert psi_derivative(table_k1, 1, x) == pytest.approx(1.0, abs=1e-12)
+            assert psi_derivative(table_k1, 1, x) == 1.0
 
     def test_identity_second_derivative(self, table_k1):
         for x in np.linspace(0.0, 0.8, 17):
-            assert psi_derivative(table_k1, 2, x) == pytest.approx(0.0, abs=1e-10)
+            assert psi_derivative(table_k1, 2, x) == 0.0
 
     def test_k4_matches_hand_quotient(self, table_k4):
-        delta = table_k4.delta
-        x = 0.5
-        expected = (psi_eval(table_k4, x + delta) - psi_eval(table_k4, x)) / delta
-        # recompute from raw table values: x=0.5 and x+delta are both nodes
-        i = int(round(x / delta))
-        raw = (table_k4.values[i + 1] - table_k4.values[i]) / delta
-        assert expected == pytest.approx(raw, rel=1e-14)
-        assert psi_derivative(table_k4, 1, x) == pytest.approx(raw, rel=1e-14)
+        # x = 0.5 is node 5000: psi' is that cell's exact increment over
+        # gamma**-k, rounded once
+        nums, q = table_k4.numerators, table_k4.denominator
+        exact = Fraction(nums[5001] - nums[5000], q) * 10**4
+        assert psi_derivative(table_k4, 1, 0.5) == float(exact)
 
     def test_rejects_bad_order(self, table_k1):
-        with pytest.raises(ValueError):
-            psi_derivative(table_k1, 0, 0.5)
-        with pytest.raises(ValueError):
-            psi_derivative(table_k1, 4, 0.5)
+        for order in (0, 3, 4):
+            with pytest.raises(ValueError):
+                psi_derivative(table_k1, order, 0.5)
 
 
 class TestPsiInverse:

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -102,13 +103,17 @@ class TestJacobianFactor:
             assert jacobian_factor(z, sp) == pytest.approx(1.0 / a1, rel=1e-12)
 
     def test_k4_matches_raw_table_difference(self, params_k4, table_k4):
+        # psi'(x1) is the exact forward difference at step 10**-4: the exact
+        # cell slopes around x1 interpolated at x1 read as a rational
         sp = SliceProblem(x2_tilde=0.6, params=params_k4, table=table_k4)
         z = 0.5 * sum(sp.bounds)
-        x1 = x1_of_z(z, sp)
-        delta = table_k4.delta
-        raw = (psi_eval(table_k4, x1 + delta) - psi_eval(table_k4, x1)) / delta
+        pos = Fraction(x1_of_z(z, sp)) * 10**4
+        m = math.floor(pos)
+        nums, q = table_k4.numerators, table_k4.denominator
+        s_m, s_next = (Fraction(nums[j + 1] - nums[j], q) * 10**4 for j in (m, m + 1))
+        exact = s_m + (pos - m) * (s_next - s_m)
         a1 = params_k4.alpha_float[0]
-        assert jacobian_factor(z, sp) == pytest.approx(1.0 / (a1 * raw), rel=1e-12)
+        assert jacobian_factor(z, sp) == pytest.approx(1.0 / (a1 * float(exact)), rel=1e-15)
 
 
 def separate_formulas(sp, z):
@@ -129,16 +134,16 @@ def separate_formulas(sp, z):
 
 def counting_psi_calls(monkeypatch):
     """Wrap psi_inverse and psi_jet where kstpde.reduction calls them; the
-    returned list collects (name, jet order or None, argument size)."""
+    returned list collects (name, argument size)."""
     calls = []
 
     def inverse(table, y):
-        calls.append(("psi_inverse", None, np.size(y)))
+        calls.append(("psi_inverse", np.size(y)))
         return psi_inverse(table, y)
 
-    def jet(table, x, order):
-        calls.append(("psi_jet", order, np.size(x)))
-        return psi_jet(table, x, order)
+    def jet(table, x):
+        calls.append(("psi_jet", np.size(x)))
+        return psi_jet(table, x)
 
     monkeypatch.setattr(reduction, "psi_inverse", inverse)
     monkeypatch.setattr(reduction, "psi_jet", jet)
@@ -185,8 +190,8 @@ class TestOdeCoefficients:
         z = np.linspace(*sp.bounds, 1001)
         before = first_order_system(sp)(z)
 
-        def shifted_jet(table, x, order):
-            jet = psi_jet(table, x, order)
+        def shifted_jet(table, x):
+            jet = psi_jet(table, x)
             return [jet[0] + 0.5, *jet[1:]]
 
         monkeypatch.setattr(reduction, "psi_jet", shifted_jet)
@@ -200,10 +205,7 @@ class TestOdeCoefficients:
         coefficients = first_order_system(sp)  # the jet at x2~, once per slice
         calls = counting_psi_calls(monkeypatch)
         coefficients(np.linspace(*sp.bounds, 101))
-        assert sorted(calls, key=str) == [
-            ("psi_inverse", None, 101),
-            ("psi_jet", 2, 101),
-        ]
+        assert sorted(calls, key=str) == [("psi_inverse", 101), ("psi_jet", 101)]
 
     def test_closed_form_needs_only_x1_and_psi_prime(self, params_k4, table_k4, monkeypatch):
         sp = SliceProblem(x2_tilde=0.35, params=params_k4, table=table_k4)
@@ -211,9 +213,9 @@ class TestOdeCoefficients:
         reduced_closed_form(sp, np.linspace(*sp.bounds, 101))
         # one pass on the 8x-refined mesh of 801 nodes, plus the jet at x2~
         assert sorted(calls, key=str) == [
-            ("psi_inverse", None, 801),
-            ("psi_jet", 1, 801),
-            ("psi_jet", 2, 1),
+            ("psi_inverse", 801),
+            ("psi_jet", 1),
+            ("psi_jet", 801),
         ]
 
 
@@ -397,8 +399,8 @@ class TestCompareAndReconstruct:
         assert np.allclose(field.values[:, 2], direct, atol=0.0)
 
     def test_psi_at_x2_once_per_slice(self, tmp_path, monkeypatch):
-        # psi at a row's x2 comes from the slice's one order-2 jet there
-        # (3 scalar evaluations); bounds and reconstruct_field reuse it
+        # psi at a row's x2 comes from the slice's one jet there (one scalar
+        # evaluation); bounds and reconstruct_field reuse it
         scalar = []
 
         def counting(table, x):
@@ -409,7 +411,7 @@ class TestCompareAndReconstruct:
         for module in (inner, reduction):
             monkeypatch.setattr(module, "psi_eval", counting)
         assert cli.main(["sweep", "--x2-grid", "3", "--mesh", "101", "--out", str(tmp_path)]) == 0
-        assert len(scalar) == 3 * 3
+        assert len(scalar) == 3
 
     def test_missing_row_rejected(self, params_k1, table_k1):
         with pytest.raises(KeyError):
@@ -457,8 +459,8 @@ def manufactured_rhs(sp, dU, d2U):
     a1, a2 = sp.params.alpha_float[:2]
 
     def rhs(x1, x2):
-        p0, p1, p2 = psi_jet(sp.table, x1, 2)
-        q0, q1, q2 = psi_jet(sp.table, x2, 2)
+        p0, p1, p2 = psi_jet(sp.table, x1)
+        q0, q1, q2 = psi_jet(sp.table, x2)
         z = a1 * p0 + a2 * q0
         return d2U(z) * (a1**2 * p1**2 + a2**2 * q1**2) + dU(z) * (a1 * p2 + a2 * q2)
 
@@ -543,8 +545,8 @@ class TestChangeOfVariablesIdentity:
         # x1 and dx1/dz on the 40 Gauss nodes come from one psi inversion
         calls = counting_psi_calls(monkeypatch)
         checks.quadrature_transfer_error(checks.QUADRATURE_CUBICS[0], params_k1, table_k1)
-        assert [c for c in calls if c[0] == "psi_inverse"] == [("psi_inverse", None, 40)]
-        assert ("psi_jet", 1, 40) in calls
+        assert [c for c in calls if c[0] == "psi_inverse"] == [("psi_inverse", 40)]
+        assert ("psi_jet", 40) in calls
 
     @pytest.mark.parametrize("coeffs", checks.QUADRATURE_CUBICS)
     def test_gauss_legendre_matches_scipy_fixed_quad(self, coeffs, params_k1, table_k1):

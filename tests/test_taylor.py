@@ -33,8 +33,10 @@ class TestBellTilde:
         )
 
     def test_rejects_unsupported_derivative_order(self, params_k1, table_k1):
-        with pytest.raises(ValueError):
-            bell_tilde(5, 1, (0.2, 0.3), table_k1, params_k1)
+        # B~_{m,k} needs psi derivatives to order m - k + 1, and psi_jet stops at 2
+        for m in (3, 5):
+            with pytest.raises(ValueError):
+                bell_tilde(m, 1, (0.2, 0.3), table_k1, params_k1)
 
 
 class TestTaylorEval:
