@@ -15,7 +15,7 @@ numpy only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -215,12 +215,173 @@ def export_solution_csv(solution: BvpSolution, path, extra_cols=None) -> None:
 
 def write_csv(path, header: list[str], rows: np.ndarray) -> None:
     """Write a header line and the float rows as %.17g with CRLF line ends,
-    the output of ``csv.writer`` on the formatted values."""
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        # one formatting operation per block of rows: the temporary strings
-        # and float objects stay small however long the table is
+    the output of ``csv.writer`` on the formatted values.
+
+    The text comes from ``_format_block``, byte for byte what ``"%.17g" % v``
+    gives, built for a block of CSV_BLOCK_ROWS rows at a time.
+    """
+    rows = np.asarray(rows, dtype=float)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
         for start in range(0, len(rows), CSV_BLOCK_ROWS):
-            block = rows[start : start + CSV_BLOCK_ROWS]
-            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+            fh.write(_format_block(rows[start : start + CSV_BLOCK_ROWS].ravel(), rows.shape[1]))
+
+
+# --------------------------------------------------------------------------
+# the %.17g kernel.  %.17g writes a finite x in fixed notation when its
+# decimal exponent e, taken after rounding to 17 significant digits, lies
+# in [-4, 16].  Those 17 digits are the integer D = round(|x| 10**(16 - e)),
+# rounded half to even, with 10**16 <= D < 10**17.  Here 16 - e <= 20, so
+# 10**(16 - e) is an exact double, and Dekker's product gives |x| 10**(16 - e)
+# as p + err exactly.  p >= 10**16 > 2**53 is then an even integer and
+# |err| <= 8, so D = p + rint(err).  Every other value (0 < |x| < 1e-4,
+# |x| >= 1e17, NaN, infinities) is formatted by "%.17g" itself.
+
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two 26-bit halves
+_FIELD = 26  # bytes per value in the block layout: the longest %.17g text (24) and a separator
+
+
+@cache
+def _format_tables() -> tuple[np.ndarray, ...]:
+    """The text of 0000..9999 as 4-byte words, and 10**s for s = 0..22 (every
+    one an exact double) with its Veltkamp halves."""
+    k = np.arange(10000, dtype=np.uint16)
+    text = np.empty((10000, 4), np.uint8)
+    for j, place in enumerate((1000, 100, 10, 1)):
+        text[:, j] = k // place % 10 + ord("0")
+    pow10 = np.array([float(10**s) for s in range(23)])
+    c = _SPLIT * pow10
+    high = c - (c - pow10)
+    tables = text.view(np.uint32).ravel(), pow10, high, pow10 - high
+    for table in tables:
+        table.flags.writeable = False  # shared by every call
+    return tables
+
+
+def _scaled(a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * 10**s as p + err exactly: Dekker's product of a and the exact 10**s."""
+    _, pow10, high, low = _format_tables()
+    p = a * pow10[s]
+    ah = _SPLIT * a
+    ah -= ah - a
+    al = a - ah
+    bh, bl = high[s], low[s]
+    err = ah * bh
+    err -= p
+    err += ah * bl
+    err += al * bh
+    err += al * bl
+    return p, err
+
+
+def _decade(p: np.ndarray, err: np.ndarray) -> np.ndarray:
+    """-1, 0 or 1 as p + err lies below 10**16, in [10**16, 10**17) or above.
+    Exact: wherever err could change a sign, p - 10**16 (or p - 10**17) is
+    exact by Sterbenz's lemma."""
+    above = (p - 1e17) + err >= 0
+    below = (p - 1e16) + err < 0
+    return above.view(np.int8) - below.view(np.int8)
+
+
+def _exponent_and_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """e (int8) and D (int64) of each value, and the indices of the values
+    left to "%.17g", whose e and D are 0."""
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(a))  # the exponent, or one off near a power of ten
+    fixed = ((e >= -5) & (e <= 16)) | (a == 0.0)
+    a[~fixed] = 0.0  # zero, and every value left to "%.17g", runs through as 0
+    e = np.where(a != 0.0, e, 0.0).astype(np.int8)
+    p, err = _scaled(a, 16 - e)
+    side = _decade(p, err)
+    off = np.flatnonzero(side)
+    off = off[a[off] != 0.0]
+    if off.size:  # log10 was one off: redo those values one decade over
+        e[off] += side[off]
+        redo = off[(e[off] >= -5) & (e[off] <= 16)]
+        p[redo], err[redo] = _scaled(a[redo], 16 - e[redo])
+        fixed[off] = False
+        fixed[redo] = _decade(p[redo], err[redo]) == 0
+    D = p.astype(np.int64)
+    D += np.rint(err).astype(np.int64)
+    # D = 10**17 would mean the rounding carried into an 18th digit; no double
+    # with e in [-4, 16] lies that close below a power of ten (see the tests)
+    fixed &= (e >= -4) & (D < 10**17)
+    fallback = np.flatnonzero(~fixed)
+    D[fallback] = e[fallback] = 0
+    return e, D, fallback
+
+
+def _byte_mask(cond: np.ndarray) -> np.ndarray:
+    """cond as bytes, 0xFF where True and 0 where False, in cond's memory."""
+    mask = cond.view(np.uint8)
+    np.negative(mask, out=mask)
+    return mask
+
+
+def _format_block(x: np.ndarray, ncols: int) -> bytes:
+    """The CSV text of the flat values x, ncols to a line, each as "%.17g" % v.
+
+    Temporaries are deleted once used, which keeps a block's peak memory
+    near what formatting its values one by one takes.
+    """
+    e, D, fallback = _exponent_and_digits(x)
+    n = x.size
+    # one row per byte of text, one column per value: the sign, "0." and up
+    # to three zeros when e < 0, 18 rows for the digits and the point, and
+    # the separator.  Bytes left 0 are not text; joining the block drops them.
+    grid = np.zeros((_FIELD, n), np.uint8)
+    body = grid[6:24]
+    # the 17 digits of D, its leading digit and then four 4-digit groups,
+    # first each one row on, where a digit after the point goes
+    digits = body[1:]
+    lead = D // 10**16
+    digits[0] = lead + ord("0")
+    D -= lead * 10**16
+    groups = np.empty((4, n), np.intp)
+    for j, place in enumerate((10**12, 10**8, 10**4)):
+        np.floor_divide(D, place, out=groups[j])
+        D -= groups[j] * place
+    groups[3] = D
+    del D, lead
+    text = _format_tables()[0].take(groups).view(np.uint8).reshape(4, n, 4)
+    digits[1:].reshape(4, 4, n)[...] = text.transpose(0, 2, 1)
+    del groups, text
+
+    row = np.arange(18, dtype=np.int8)[:, None]
+    last = _byte_mask(digits != ord("0"))
+    last &= row[:17].view(np.uint8)
+    significant = last.max(axis=0).view(np.int8) + np.int8(1)  # digits to the last non-zero
+    del last
+    small = e < 0
+    before_point = np.where(small, np.int8(18), e + np.int8(1))  # 18: the point is in "0."
+    point = (significant > before_point) & ~small  # digits follow the point
+    size = np.maximum(significant, e + np.int8(1)) + point  # the body's bytes
+
+    grid[0] = np.signbit(x) * np.uint8(ord("-"))
+    grid[1] = small * np.uint8(ord("0"))
+    grid[2] = small * np.uint8(ord("."))
+    grid[3:6] = _byte_mask(row[1:4] >= e + np.int8(5)) & np.uint8(ord("0"))
+    # digits before the point move back one row, the point goes after them,
+    # and the body ends after the last significant digit
+    step = body[:-1] ^ digits
+    step &= _byte_mask(row[:17] < before_point)
+    body[:-1] ^= step
+    del step
+    step = body ^ np.uint8(ord("."))
+    step &= _byte_mask(row == before_point)
+    body ^= step
+    del step
+    body &= _byte_mask(row < size)
+    del body, digits
+    grid[24] = ord(",")
+    grid[24, ncols - 1 :: ncols] = ord("\r")
+    grid[25, ncols - 1 :: ncols] = ord("\n")
+    fields = grid.T.copy()
+    del grid
+    if fallback.size:
+        text = b"".join([(b"%.17g" % v).ljust(24, b"\0") for v in x[fallback].tolist()])
+        fields[fallback, :24] = np.frombuffer(text, np.uint8).reshape(-1, 24)
+    data = fields.tobytes()
+    del fields
+    return data.translate(None, b"\0")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import platform
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -148,6 +149,23 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+def _finite_or_null(value):
+    """value with every float that is not finite replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
+def _strict_json(payload, **kwargs) -> str:
+    """RFC 8259 JSON, which has no NaN or Infinity: a float that is not
+    finite (the amplitude ratio of a row whose restriction is zero) is null."""
+    return json.dumps(_finite_or_null(payload), indent=2, allow_nan=False, **kwargs)
+
+
 def write_manifest(cfg: RunConfig, artifacts: list[Path], error: Exception | None = None) -> Path:
     import scipy  # only for its version: the package root loads no subpackage
 
@@ -163,7 +181,7 @@ def write_manifest(cfg: RunConfig, artifacts: list[Path], error: Exception | Non
     if error is not None:
         manifest["error"] = {"type": type(error).__name__, "message": str(error)}
     path = cfg.out / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    path.write_text(_strict_json(manifest, sort_keys=True) + "\n")
     return path
 
 
@@ -188,7 +206,7 @@ CommandResult = tuple[list[Path], bool]
 
 def _write_json(cfg: RunConfig, name: str, payload) -> Path:
     path = cfg.out / name
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    path.write_text(_strict_json(payload) + "\n")
     return path
 
 
@@ -251,7 +269,7 @@ def cmd_taylor_check(cfg: RunConfig, args: argparse.Namespace) -> CommandResult:
     orders = {f"M={M}": {"errors": errs, "order": order} for M, (errs, order) in fits.items()}
     report = {"a_values": list(checks.TAYLOR_SHIFTS), "orders": orders}
     path = _write_json(cfg, "taylor_check.json", report)
-    print(json.dumps(orders, indent=2))
+    print(_strict_json(orders))
     return [path], all(order >= M + 0.5 for M, (_, order) in fits.items())
 
 
@@ -316,7 +334,7 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> CommandResult:
         sp, sol = _solve_one(cfg, params, table, x2)
         report = _report_dict(compare_slice(sol, sp), sol)
         artifacts.append(_write_json(cfg, f"compare_{_tag(x2)}.json", report))
-        print(json.dumps(report, indent=2))
+        print(_strict_json(report))
         all_converged &= sol.converged
     return artifacts, all_converged
 

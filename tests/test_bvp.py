@@ -2,9 +2,12 @@
 
 import csv
 import io
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kstpde import bvp
 from kstpde.bvp import (
@@ -267,6 +270,36 @@ class TestSolveLinear:
         assert np.isnan(exc.value.pivot_value)
 
 
+def csv_oracle(header, rows) -> bytes:
+    """The bytes write_csv must produce: one csv.writer row of "%.17g" % v per row."""
+    ref = io.StringIO(newline="")
+    w = csv.writer(ref)
+    w.writerow(header)
+    for row in rows:
+        w.writerow(["%.17g" % v for v in row])
+    return ref.getvalue().encode()
+
+
+def written(path, rows) -> bytes:
+    header = [f"c{j}" for j in range(rows.shape[1])]
+    bvp.write_csv(path, header, rows)
+    assert path.read_bytes() == csv_oracle(header, rows)
+    return path.read_bytes()
+
+
+def fixed_window_ties():
+    """Doubles in [1e-4, 1e17) whose exact decimal expansion has 18 significant
+    digits, the last a 5: "%.17g" must round them half to even."""
+    ties = []
+    for m in range(1, 2**10, 2):
+        for k in range(-40, 50):
+            x = float(np.ldexp(m, k))
+            digits = Decimal(x).as_tuple().digits
+            if 1e-4 <= x < 1e17 and len(digits) == 18 and digits[-1] == 5:
+                ties.append(x)
+    return ties
+
+
 class TestExport:
     def test_matches_rowwise_csv_writer(self, tmp_path):
         # reference: one csv.writer row per node; 2500 rows span several
@@ -281,12 +314,59 @@ class TestExport:
         )
         extra = rng.standard_normal(n)
         export_solution_csv(sol, tmp_path / "sol.csv", extra_cols={"extra": extra})
-        ref = io.StringIO(newline="")
-        w = csv.writer(ref)
-        w.writerow(["z", "U", "W", "extra"])
-        for row in zip(sol.nodes, sol.U, sol.W, extra):
-            w.writerow(["%.17g" % v for v in row])
-        assert (tmp_path / "sol.csv").read_bytes() == ref.getvalue().encode()
+        rows = np.column_stack([sol.nodes, sol.U, sol.W, extra])
+        assert (tmp_path / "sol.csv").read_bytes() == csv_oracle(["z", "U", "W", "extra"], rows)
+
+    def test_powers_of_ten_and_their_neighbours(self, tmp_path):
+        # 1e-5 .. 1e17 bracket the fixed-notation window [1e-4, 1e17) of %.17g,
+        # where log10 may land one decade off
+        powers = 10.0 ** np.arange(-5, 18)
+        values = [powers]
+        for direction in (0.0, np.inf):
+            step = powers
+            for _ in range(3):
+                step = np.nextafter(step, direction)
+                values.append(step)
+        values = np.concatenate(values)
+        written(tmp_path / "p.csv", np.stack([values, -values], axis=1))
+
+    def test_no_rounding_carries_into_an_18th_digit(self):
+        # the double just below each power of ten in the window is the only one
+        # that could round up to it at 17 digits; none does, so write_csv can
+        # leave such a value to "%.17g" without a carry step
+        for k in range(-4, 18):
+            below = np.nextafter(10.0**k, 0.0)
+            assert float("%.17g" % below) < 10.0**k
+
+    def test_ties_round_half_to_even(self, tmp_path):
+        ties = fixed_window_ties()
+        # both directions occur: an even 17th digit stays, an odd one rounds up
+        parity = {Decimal(x).as_tuple().digits[-2] % 2 for x in ties}
+        assert len(ties) > 100 and parity == {0, 1}
+        written(tmp_path / "t.csv", np.array(ties + [-t for t in ties]).reshape(-1, 2))
+
+    def test_near_one_and_edge_values(self, tmp_path):
+        tiny = np.finfo(float).tiny
+        edge = [0.99999999999999994, 1 - 2**-53, 0.1, 1 / 3, 2.0 / 3, 9.999999999999999e-5,
+                0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, tiny, np.nextafter(tiny, 0),
+                1e300, -1e300, np.finfo(float).max, 1e16, 99999999999999984.0, 12345678901234567.0,
+                123.0, 100.5, 0.0001, 0.00012, -0.0001234]
+        written(tmp_path / "e.csv", np.array(edge).reshape(-1, 1))
+
+    @pytest.mark.parametrize("n_rows", [0, 1, bvp.CSV_BLOCK_ROWS, bvp.CSV_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("n_cols", [1, 3])
+    def test_table_shapes(self, tmp_path, n_rows, n_cols):
+        rng = np.random.default_rng(n_rows + n_cols)
+        rows = rng.standard_normal((n_rows, n_cols)) * 10.0 ** rng.integers(-6, 19, (n_rows, n_cols))
+        data = written(tmp_path / "s.csv", rows)
+        assert data.count(b"\r\n") == n_rows + 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.floats(), max_size=40), n_cols=st.integers(1, 4))
+    def test_any_floats(self, tmp_path_factory, values, n_cols):
+        values += [0.0] * (-len(values) % n_cols)
+        rows = np.array(values, dtype=float).reshape(-1, n_cols)
+        written(tmp_path_factory.mktemp("any") / "a.csv", rows)
 
 
 class TestValidation:

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import platform
@@ -316,6 +317,73 @@ class TestSweepCompareVerify:
         assert run(tmp_path, "verify") == 0
         assert len(sizes) == 7
         assert sizes.count(40) == 4 and sizes.count(501) == 2
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+class TestArtifactText:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["psi", "--k", "1,2,3,4"],
+            ["sweep", "--k", "1", "--x2-grid", "5", "--mesh", "101"],
+            ["sweep", "--k", "2", "--x2-grid", "5", "--mesh", "101"],
+            ["solve", "--k", "3", "--x2", "0.5", "--mesh", "201"],
+            ["solve", "--k", "4", "--x2", "0.5", "--mesh", "201"],
+        ],
+        ids=lambda argv: f"{argv[0]}-k{argv[2]}",
+    )
+    def test_csv_floats_read_back_as_their_17g_text(self, tmp_path, argv):
+        # "%.17g" round-trips float64, so each CSV is its own reference:
+        # parsed and written again through csv.writer it gives the same bytes.
+        # The depth-3 and depth-4 slices exit 1 but still write their CSV.
+        run(tmp_path, *argv)
+        paths = sorted((tmp_path / "out").glob("*.csv"))
+        assert paths
+        for path in paths:
+            with open(path, newline="") as fh:
+                header, *rows = list(csv.reader(fh))
+            again = io.StringIO(newline="")
+            writer = csv.writer(again)
+            writer.writerow(header)
+            writer.writerows(["%.17g" % float(v) for v in row] for row in rows)
+            assert path.read_bytes() == again.getvalue().encode(), path.name
+
+    def test_json_artifacts_are_strict(self, tmp_path):
+        # the row x2 = 0 has a zero restriction, so its amplitude ratio is
+        # not a number: it is written as null, not as the non-JSON NaN
+        assert run(tmp_path, "sweep", "--x2-grid", "3", "--mesh", "11") == 0
+        paths = sorted((tmp_path / "out").glob("*.json"))
+        assert len(paths) == 4
+        reports = {p.name: json.loads(p.read_text(), parse_constant=reject_constant) for p in paths}
+        assert reports["slice_0.json"]["amplitude_ratio"] is None
+        assert reports["slice_0p5.json"]["amplitude_ratio"] > 1.0
+
+
+class TestEveryDepth:
+    # k=7 is accepted too, but its build is modelled at 2.3 GiB: too large for a test
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_solve_ends_converged_or_typed(self, tmp_path, capsys, k):
+        code = run(tmp_path, "solve", "--k", str(k), "--mesh", "21")
+        err = capsys.readouterr().err
+        manifest = read_manifest(tmp_path)
+        assert "Traceback" not in err
+        if k <= 2:
+            assert code == 0 and err == ""
+            report = json.loads((tmp_path / "out" / "slice_0p5.json").read_text())
+            assert report["converged"] is True
+        elif k <= 4:
+            # the slice stops above tol: its report is written and named on stderr
+            assert code == 1 and "error" not in manifest
+            report = json.loads((tmp_path / "out" / "slice_0p5.json").read_text())
+            assert report["converged"] is False
+            assert err == f"slice x2=0.5: residual {report['residual_inf']:.3g} above tol 1e-10\n"
+        else:
+            # the float64 psi table is flat at these depths
+            assert code == 1 and manifest["artifacts"] == {}
+            assert manifest["error"]["type"] == "MonotonicityError"
 
 
 class TestSlicePathUsageErrors:
