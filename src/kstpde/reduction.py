@@ -2,15 +2,15 @@
 
 At truncation order zero the superposition collapses to a single unknown
 U(z) per fixed second coordinate.  Each slice carries the chain form of
-the Poisson equation for u = U(z(x1, x2~)): a second-order linear ODE in z
-with psi-dependent coefficients and Dirichlet-zero ends, and maps back to
-the 2-D field through the aggregate variable z.
+the Poisson equation for u = U(z(x1, x2~)), solved for V(x1) = U(z) in x1: a
+second-order linear ODE with psi-dependent coefficients and zero ends, whose
+solution is reported on the aggregate variable z = alpha_1 psi(x1) + z_min.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
 
@@ -131,27 +131,33 @@ def jacobian_factor(z, slice_problem: SliceProblem):
     return 1.0 / (slice_problem.params.alpha_float[0] * dpsi)
 
 
-def _g_c2(slice_problem: SliceProblem, x1, d1):
-    """The coefficients g and c2 at x1, which need no psi data beyond d1 = psi'(x1)."""
+def _x1_mesh(n_nodes: int) -> np.ndarray:
+    """The uniform x1 nodes of [0, 1] that a slice of n_nodes is solved on."""
+    return np.linspace(0.0, 1.0, n_nodes)
+
+
+def _coefficients(slice_problem: SliceProblem, x1, jet) -> tuple:
+    """(g, c1, c2) at x1 from jet = psi_jet(table, x1); psi(x1) is not read."""
     a1, a2 = slice_problem.params.alpha_float[:2]
-    g = slice_problem.rhs(x1, slice_problem.x2_tilde) / (a1 * d1)
-    c2 = (a1**2 * d1**2 + a2**2 * slice_problem.jet_x2[1] ** 2) / (a1 * d1)
-    return g, c2
+    _, p1_x2, p2_x2 = slice_problem.jet_x2
+    _, d1, d2 = jet
+    q, dq = a1 * d1, a1 * d2
+    r = (a2 * p1_x2 / q) ** 2  # S^2/q^2
+    g = slice_problem.rhs(x1, slice_problem.x2_tilde)
+    return g, (a2 * p2_x2 - r * dq) / q, 1.0 + r
 
 
 def first_order_system(slice_problem: SliceProblem) -> Callable:
-    """The callable z -> (g, c1, c2) of the slice ODE c2 U'' + c1 U' = g,
-    the chain form Delta(U(z)) = f divided by alpha_1 psi'(x1), which the
-    slice BVP evaluates once on its mesh: x1(z), then one psi_jet at x1.
-    psi' > 0, so c2 > 0 for the solver to divide by.
-    """
-    a1, a2 = slice_problem.params.alpha_float[:2]
-    p2_x2 = slice_problem.jet_x2[2]
+    """The callable x1 -> (g, c1, c2) of the slice ODE c2 V'' + c1 V' = g for
+    V(x1) = U(z(x1, x2~)), evaluated once on the mesh with one psi_jet.
 
-    def coefficients(z):
-        x1, (_, d1, d2) = _x1_jet(z, slice_problem)
-        g, c2 = _g_c2(slice_problem, x1, d1)
-        return g, (a1 * d2 + a2 * p2_x2) / (a1 * d1), c2
+    The chain form Delta(U(z)) = f, rewritten by V' = q U' and V'' = q^2 U''
+    + q' U' with q = alpha_1 psi'(x1), S = alpha_2 psi'(x2~) and T = alpha_2
+    psi''(x2~), gives g = f, c1 = T/q - S^2 q'/q^3 and c2 = 1 + S^2/q^2 >= 1.
+    """
+
+    def coefficients(x1):
+        return _coefficients(slice_problem, x1, psi_jet(slice_problem.table, x1))
 
     return coefficients
 
@@ -185,16 +191,15 @@ def solve_slice(
     n_nodes: int = 1001,
     tol: float = 1e-10,
 ) -> tuple[BvpSolution, BvpProblem]:
-    """Build and solve the slice BVP; returns (solution, problem)."""
-    z_min, z_max = slice_problem.bounds
+    """Build and solve the slice BVP on the x1 mesh of n_nodes; returns
+    (solution, problem).  The solution's nodes are z = alpha_1 psi(x1) +
+    z_min, its W is dV/dx1."""
     slice_problem.brackets  # raises DegenerateBoundaryError on a vacuous end
-    problem = BvpProblem(
-        z_min=z_min,
-        z_max=z_max,
-        coefficients=first_order_system(slice_problem),
-        n_nodes=n_nodes,
-    )
-    return newton_solve(problem, tol=tol), problem
+    # the problem's nodes on [0, 1] are _x1_mesh(n_nodes)
+    problem = BvpProblem(0.0, 1.0, first_order_system(slice_problem), n_nodes)
+    a1 = slice_problem.params.alpha_float[0]
+    z = a1 * psi_eval(slice_problem.table, _x1_mesh(n_nodes)) + slice_problem.bounds[0]
+    return replace(newton_solve(problem, tol=tol), nodes=z), problem
 
 
 def trapezoid_panels(y: np.ndarray, step) -> np.ndarray:
@@ -213,35 +218,31 @@ def reduced_closed_form(
 ) -> np.ndarray:
     """Reference solution by double integration of g/c2 with zero endpoints.
 
-    That solves c2 U'' = g, the slice ODE only where c1 = 0, i.e. at depth
+    That solves c2 V'' = g, the slice ODE only where c1 = 0, i.e. at depth
     1; at k >= 2 it is another equation.  The exact quadrature, with weight
     exp(int c1/c2), waits for an x1 mesh aligned with the psi cells and
-    coefficients taken per cell: on a uniform z mesh of 1001 nodes the
-    integral spans about 400 at k=2 (x2~ = 0.5), and still about 190 with a
-    psi'' constant on each cell, because the mesh samples the narrow spikes
-    of c1/c2 at single nodes, so the weight loses its digits.  Integration
-    runs on a mesh refined by ``refine`` relative to z_nodes, then samples
-    back.
+    coefficients taken per cell.  Integration runs in x1 on a mesh refined
+    by ``refine`` relative to z_nodes, sampled back through its z.
     """
-    z_min, z_max = slice_problem.bounds
-    fine = np.linspace(z_min, z_max, refine * (len(z_nodes) - 1) + 1)
-    x1, (_, d1, _) = _x1_jet(fine, slice_problem)
-    g, c2 = _g_c2(slice_problem, x1, d1)
-    rhs = g / c2
-    steps = np.diff(fine)
-    w = np.concatenate(([0.0], np.cumsum(trapezoid_panels(rhs, steps))))
-    u = np.concatenate(([0.0], np.cumsum(trapezoid_panels(w, steps))))
-    # enforce U(z_max) = 0 by subtracting the homogeneous linear mode
-    u -= (fine - z_min) / (z_max - z_min) * u[-1]
-    return np.interp(z_nodes, fine, u)
+    x1 = _x1_mesh(refine * (len(z_nodes) - 1) + 1)
+    jet = psi_jet(slice_problem.table, x1)
+    g, _, c2 = _coefficients(slice_problem, x1, jet)
+    steps = np.diff(x1)
+    w = np.concatenate(([0.0], np.cumsum(trapezoid_panels(g / c2, steps))))
+    v = np.concatenate(([0.0], np.cumsum(trapezoid_panels(w, steps))))
+    # enforce V(1) = 0 by subtracting the homogeneous linear mode
+    v -= x1 * v[-1]
+    z = slice_problem.params.alpha_float[0] * jet[0] + slice_problem.bounds[0]
+    return np.interp(z_nodes, z, v)
 
 
 @dataclass(frozen=True)
 class SliceReport:
     """Distances of a solved slice against its two references.
 
-    ``u_analytic`` is the analytic restriction u(x1(z), x2~) on the
-    solution's nodes; ``to_dict`` leaves it out.
+    ``u_analytic`` is the analytic restriction u(x1, x2~) on the x1 mesh;
+    ``to_dict`` leaves it out.  ``amplitude_ratio`` is NaN where either
+    extremum is exactly zero.
     """
 
     x2_tilde: float
@@ -277,15 +278,15 @@ def compare_slice(solution: BvpSolution, slice_problem: SliceProblem) -> SliceRe
     bracket_left, bracket_right = slice_problem.brackets
 
     u_closed = reduced_closed_form(slice_problem, z)
-    u_analytic = analytic_solution(x1_of_z(z, slice_problem), x2t)
+    u_analytic = analytic_solution(_x1_mesh(len(z)), x2t)
 
     diff_closed = solution.U - u_closed
     diff_analytic = solution.U - u_analytic
 
     i_num = int(np.argmax(np.abs(solution.U)))
     i_an = int(np.argmax(np.abs(u_analytic)))
-    amp_an = u_analytic[i_an]
-    ratio = float(solution.U[i_num] / amp_an) if amp_an != 0.0 else math.nan
+    amp_num, amp_an = solution.U[i_num], u_analytic[i_an]
+    ratio = float(amp_num / amp_an) if amp_num != 0.0 and amp_an != 0.0 else math.nan
 
     return SliceReport(
         x2_tilde=x2t,
@@ -334,19 +335,16 @@ def reconstruct_field(
     x1_nodes: np.ndarray,
     x2_rows: np.ndarray,
 ) -> Field2D:
-    """Assemble u(x1, x2) = U_{x2}(z(x1, x2)) from solved slices that share
-    one psi table: z is alpha_1 psi(x1), computed once, plus the row's z_min."""
+    """Assemble u(x1, x2) = V_{x2}(x1) from solved slices: each row is
+    interpolated at x1_nodes on its own slice's x1 mesh."""
     x1_nodes = np.asarray(x1_nodes, dtype=float)
     x2_rows = np.asarray(x2_rows, dtype=float)
     values = np.empty((len(x1_nodes), len(x2_rows)))
-    z_x1 = None
     for j, x2 in enumerate(x2_rows):
         if x2 not in solutions:
             raise KeyError(f"no solved slice for row x2={x2}")
-        sol, sp = solutions[x2]
-        if z_x1 is None:
-            z_x1 = sp.params.alpha_float[0] * psi_eval(sp.table, x1_nodes)
-        values[:, j] = np.interp(z_x1 + sp.bounds[0], sol.nodes, sol.U)
+        sol, _ = solutions[x2]
+        values[:, j] = np.interp(x1_nodes, _x1_mesh(len(sol.U)), sol.U)
     return Field2D(x1=x1_nodes, x2=x2_rows, values=values)
 
 

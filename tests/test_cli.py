@@ -168,15 +168,16 @@ class TestSolve:
 
     @pytest.mark.filterwarnings("error")
     def test_depth_4_slice_exits_1_with_report(self, tmp_path, capsys):
-        # the depth-4 slice cannot meet tol: exit 1 with the non-converged
+        # a depth-4 slice that cannot meet tol: exit 1 with the non-converged
         # slice report written, no traceback and no LinAlgWarning
-        assert run(tmp_path, "solve", "--k", "4", "--x2", "0.5", "--mesh", "201") == 1
+        argv = ["solve", "--k", "4", "--x2", "0.5", "--mesh", "201", "--tol", "1e-300"]
+        assert run(tmp_path, *argv) == 1
         assert "slice x2=0.5: residual" in capsys.readouterr().err
         report = json.loads((tmp_path / "out" / "slice_0p5.json").read_text())
         assert report["converged"] is False
         assert report["iterations"] == 1
         assert len(report["residual_history"]) == 2
-        assert report["residual_history"][-1] == report["residual_inf"] > 1e-10
+        assert report["residual_history"][-1] == report["residual_inf"] > 1e-300
         manifest = read_manifest(tmp_path)
         assert set(manifest["artifacts"]) == {"slice_0p5.csv", "slice_0p5.json"}
         assert "error" not in manifest
@@ -230,6 +231,8 @@ class TestSolve:
     )
     def test_residual_inf_is_the_collocation_residual(self, tmp_path, k, x2, converged):
         argv = ["solve", "--k", str(k), "--x2", str(x2), "--mesh", "201"]
+        # depth 3 meets the default tol, so its non-converged case asks for 1e-300
+        argv += [] if converged else ["--tol", "1e-300"]
         assert run(tmp_path, *argv) == (0 if converged else 1)
         report = json.loads((tmp_path / "out" / f"slice_{cli._tag(x2)}.json").read_text())
         assert report["converged"] is converged
@@ -269,16 +272,16 @@ class TestSweepCompareVerify:
         [(["sweep", "--x2-grid", "3"], "slice_*.json"), (["compare", "--x2", "0.5"], "compare_*.json")],
     )
     def test_nonconverged_rows_named_on_stderr(self, tmp_path, capsys, argv, reports):
-        # depth 3 stops at a rounding floor above tol: exit 1, and every row
+        # only a row with zero source meets tol 1e-300: exit 1, and every row
         # left above tol is named on stderr, as solve does
-        assert run(tmp_path, *argv, "--k", "3", "--mesh", "201") == 1
+        assert run(tmp_path, *argv, "--k", "3", "--mesh", "201", "--tol", "1e-300") == 1
         err = capsys.readouterr().err
         rows = sorted(
             (json.loads(p.read_text()) for p in (tmp_path / "out").glob(reports)),
             key=lambda r: r["x2_tilde"],
         )
         expected = [
-            f"slice x2={r['x2_tilde']}: residual {r['residual_inf']:.3g} above tol 1e-10\n"
+            f"slice x2={r['x2_tilde']}: residual {r['residual_inf']:.3g} above tol 1e-300\n"
             for r in rows
             if not r["converged"]
         ]
@@ -305,8 +308,8 @@ class TestSweepCompareVerify:
         assert all(c["pass"] for c in checks.values())
 
     def test_verify_psi_inverse_calls(self, tmp_path, monkeypatch):
-        # one inversion per quadrature cubic on its 40 Gauss nodes, and three
-        # for the slice: coefficient pass, compare_slice, closed-form mesh
+        # one inversion per quadrature cubic on its 40 Gauss nodes; the slice
+        # is solved, compared and closed in x1 and inverts nothing
         sizes = []
 
         def inverse(table, y):
@@ -315,8 +318,7 @@ class TestSweepCompareVerify:
 
         monkeypatch.setattr(reduction, "psi_inverse", inverse)
         assert run(tmp_path, "verify") == 0
-        assert len(sizes) == 7
-        assert sizes.count(40) == 4 and sizes.count(501) == 2
+        assert sizes == [40] * 4
 
 
 def reject_constant(name):
@@ -361,6 +363,16 @@ class TestArtifactText:
         assert reports["slice_0.json"]["amplitude_ratio"] is None
         assert reports["slice_0p5.json"]["amplitude_ratio"] > 1.0
 
+    def test_degenerate_boundary_rows_have_no_ratio(self, tmp_path):
+        # both boundary rows have U = 0: at x2 = 0 the restriction is exactly
+        # zero, at x2 = 1 it is round-off (sin(pi) in float64) and the zero
+        # state already meets tol, so neither row has an amplitude ratio
+        assert run(tmp_path, "sweep", "--x2-grid", "3", "--mesh", "11") == 0
+        for name in ("slice_0.json", "slice_1.json"):
+            report = json.loads((tmp_path / "out" / name).read_text())
+            assert report["iterations"] == 0
+            assert report["amplitude_ratio"] is None, name
+
 
 class TestEveryDepth:
     # k=7 is accepted too, but its build is modelled at 2.3 GiB: too large for a test
@@ -370,16 +382,15 @@ class TestEveryDepth:
         err = capsys.readouterr().err
         manifest = read_manifest(tmp_path)
         assert "Traceback" not in err
-        if k <= 2:
+        if k <= 4:
+            # "converged" means only that the collocation residual met tol.  A
+            # 21-node mesh puts a node in every 50th (k=3) or 500th (k=4) psi
+            # cell, a 201-node mesh in every 5th or 50th: the k=3 and k=4
+            # values are not results until the discretisation error is
+            # estimated (ROADMAP item 4)
             assert code == 0 and err == ""
             report = json.loads((tmp_path / "out" / "slice_0p5.json").read_text())
             assert report["converged"] is True
-        elif k <= 4:
-            # the slice stops above tol: its report is written and named on stderr
-            assert code == 1 and "error" not in manifest
-            report = json.loads((tmp_path / "out" / "slice_0p5.json").read_text())
-            assert report["converged"] is False
-            assert err == f"slice x2=0.5: residual {report['residual_inf']:.3g} above tol 1e-10\n"
         else:
             # the float64 psi table is flat at these depths
             assert code == 1 and manifest["artifacts"] == {}

@@ -1,4 +1,5 @@
-"""The benchmark's tracer and counters wrap kstpde functions by module and name."""
+"""The benchmark's tracer and counters wrap kstpde functions by module and
+name, and its output checks pass on the k=1 sweeps."""
 
 import importlib
 import importlib.util
@@ -8,15 +9,19 @@ import pytest
 
 from kstpde import cli
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load("tracing")
 
 
 SWEEP = ["sweep", "--x2-grid", "5", "--mesh", "51"]
@@ -52,3 +57,16 @@ def test_tracer_records_one_coefficient_span_per_slice(tracing, tmp_path):
     totals = tracer.totals()
     assert totals[tracing.RHS_SPAN]["calls"] == 5
     assert totals["bvp.newton_solve"]["calls"] == 5
+
+
+@pytest.mark.parametrize("workload", ["sweep_fine", "sweep_wide"])
+def test_k1_sweep_passes_the_benchmark_output_checks(tmp_path, workload):
+    # the benchmark's own checks, U samples against reference.json within its
+    # u_abs_tol included: a k=1 drift fails here before it fails the benchmark
+    checks = load("checks")
+    reference = checks.load_reference()
+    assert reference["u_samples"][workload]
+    (argv,) = load("workloads").workload_argvs(workload, seed=1)
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    problems, _, _ = checks.check_outputs(workload, tmp_path, reference)
+    assert problems == []

@@ -116,20 +116,18 @@ class TestJacobianFactor:
         assert jacobian_factor(z, sp) == pytest.approx(1.0 / (a1 * float(exact)), rel=1e-15)
 
 
-def separate_formulas(sp, z):
-    """(g, c1, c2) of the chain form, Delta(U(z)) = f divided by
-    alpha_1 psi'(x1), by the three coefficient formulas written out one by
-    one from psi_derivative."""
+def separate_formulas(sp, x1):
+    """(g, c1, c2) of the chain form Delta(U(z)) = f for V(x1) = U(z(x1, x2~)),
+    g = f, c1 = T/q - S^2 q'/q^3 and c2 = 1 + S^2/q^2, written out one by one
+    from psi_derivative, with q = a1 psi'(x1), q' = a1 psi''(x1),
+    S = a2 psi'(x2~) and T = a2 psi''(x2~); c1 as (T - (S/q)^2 q')/q."""
     params, table, x2 = sp.params, sp.table, sp.x2_tilde
     a1, a2 = params.alpha_float[:2]
-    p1_x2 = psi_derivative(table, 1, x2)
-    p2_x2 = psi_derivative(table, 2, x2)
-    x1 = x1_of_z(z, sp)
-    d1, d2 = (psi_derivative(table, order, x1) for order in (1, 2))
-    c2 = (a1**2 * d1**2 + a2**2 * p1_x2**2) / (a1 * d1)
-    c1 = (a1 * d2 + a2 * p2_x2) / (a1 * d1)
-    g = sp.rhs(x1, x2) / (a1 * d1)
-    return g, c1, c2
+    S = a2 * psi_derivative(table, 1, x2)
+    T = a2 * psi_derivative(table, 2, x2)
+    q = a1 * psi_derivative(table, 1, x1)
+    dq = a1 * psi_derivative(table, 2, x1)
+    return sp.rhs(x1, x2), (T - (S / q) ** 2 * dq) / q, 1.0 + (S / q) ** 2
 
 
 def counting_psi_calls(monkeypatch):
@@ -154,32 +152,29 @@ class TestOdeCoefficients:
     def test_identity_table_values(self, params_k1, table_k1):
         a1, a2 = params_k1.alpha_float
         sp = SliceProblem(x2_tilde=0.5, params=params_k1, table=table_k1)
-        z = 0.5 * sum(sp.bounds)
-        g, c1, c2 = first_order_system(sp)(z)
-        assert c2 == pytest.approx((a1**2 + a2**2) / a1, rel=1e-9)
-        assert c1 == pytest.approx(0.0, abs=1e-9)
-        x1 = x1_of_z(z, sp)
-        assert g == pytest.approx(
-            math.sin(math.pi * x1) * math.sin(math.pi * 0.5) / a1, rel=1e-9
-        )
+        x1 = 0.37
+        g, c1, c2 = first_order_system(sp)(x1)
+        assert c2 == pytest.approx(1.0 + (a2 / a1) ** 2, rel=1e-15)
+        assert c1 == 0.0
+        assert g == pytest.approx(math.sin(math.pi * x1) * math.sin(math.pi * 0.5), rel=1e-15)
 
     def test_zero_source_row(self, params_k1, table_k1):
         sp = SliceProblem(x2_tilde=0.0, params=params_k1, table=table_k1)
-        g, _, _ = first_order_system(sp)(np.linspace(*sp.bounds, 5))
+        g, _, _ = first_order_system(sp)(np.linspace(0.0, 1.0, 5))
         assert np.all(np.abs(g) <= 1e-15)
 
     def test_c2_positive_on_slices(self, params_k4, table_k4):
         for x2 in (0.1, 0.5, 0.9):
             sp = SliceProblem(x2_tilde=x2, params=params_k4, table=table_k4)
-            _, _, c2 = first_order_system(sp)(np.linspace(*sp.bounds, 101))
-            assert np.all(c2 > 0.0)
+            _, _, c2 = first_order_system(sp)(np.linspace(0.0, 1.0, 101))
+            assert np.all(c2 >= 1.0)
 
     @pytest.mark.parametrize("k, x2", [(2, 0.3), (4, 0.35)])
     def test_one_pass_equals_separate_formulas(self, k, x2):
         params = compute_constants(2, 10, 8, k=k)
         sp = SliceProblem(x2_tilde=x2, params=params, table=build_psi(params))
-        z = np.linspace(*sp.bounds, 1001)
-        for one_pass, separate in zip(first_order_system(sp)(z), separate_formulas(sp, z)):
+        x1 = np.linspace(0.0, 1.0, 1001)
+        for one_pass, separate in zip(first_order_system(sp)(x1), separate_formulas(sp, x1)):
             assert np.array_equal(one_pass, separate)
 
     def test_coefficients_never_read_psi_of_x1(self, params_k2, table_k2, monkeypatch):
@@ -187,36 +182,33 @@ class TestOdeCoefficients:
         # coefficients must not move when entry 0 of the x1 jet is shifted;
         # the slice geometry, read from the jet at x2~, is fixed beforehand
         sp = SliceProblem(x2_tilde=0.3, params=params_k2, table=table_k2)
-        z = np.linspace(*sp.bounds, 1001)
-        before = first_order_system(sp)(z)
+        x1 = np.linspace(0.0, 1.0, 1001)
+        before = first_order_system(sp)(x1)
 
         def shifted_jet(table, x):
             jet = psi_jet(table, x)
             return [jet[0] + 0.5, *jet[1:]]
 
         monkeypatch.setattr(reduction, "psi_jet", shifted_jet)
-        after = first_order_system(sp)(z)
+        after = first_order_system(sp)(x1)
         assert len(after) == len(before)
         for a, b in zip(before, after):
             assert np.array_equal(a, b)
 
     def test_one_psi_pass_per_evaluation(self, params_k4, table_k4, monkeypatch):
         sp = SliceProblem(x2_tilde=0.35, params=params_k4, table=table_k4)
-        coefficients = first_order_system(sp)  # the jet at x2~, once per slice
+        sp.jet_x2  # the cached jet at x2~, computed once per slice before counting
+        coefficients = first_order_system(sp)
         calls = counting_psi_calls(monkeypatch)
-        coefficients(np.linspace(*sp.bounds, 101))
-        assert sorted(calls, key=str) == [("psi_inverse", 101), ("psi_jet", 101)]
+        coefficients(np.linspace(0.0, 1.0, 101))
+        assert calls == [("psi_jet", 101)]
 
     def test_closed_form_needs_only_x1_and_psi_prime(self, params_k4, table_k4, monkeypatch):
         sp = SliceProblem(x2_tilde=0.35, params=params_k4, table=table_k4)
         calls = counting_psi_calls(monkeypatch)
         reduced_closed_form(sp, np.linspace(*sp.bounds, 101))
-        # one pass on the 8x-refined mesh of 801 nodes, plus the jet at x2~
-        assert sorted(calls, key=str) == [
-            ("psi_inverse", 801),
-            ("psi_jet", 1),
-            ("psi_jet", 801),
-        ]
+        # one pass on the 8x-refined x1 mesh of 801 nodes, plus the jet at x2~
+        assert sorted(calls, key=str) == [("psi_jet", 1), ("psi_jet", 801)]
 
 
 class TestFirstOrderSystem:
@@ -224,38 +216,39 @@ class TestFirstOrderSystem:
         a1, a2 = params_k1.alpha_float
         sp = SliceProblem(x2_tilde=0.5, params=params_k1, table=table_k1)
         coefficients = first_order_system(sp)
-        z = 0.5 * sum(sp.bounds)
-        x1 = x1_of_z(z, sp)
-        g, _, c2 = coefficients(z)
+        x1 = 0.37
+        g, _, c2 = coefficients(x1)
+        # c2 V'' = g reads V'' = a1^2 sin(pi x1)/(a1^2 + a2^2) at x2~ = 0.5
         assert g / c2 == pytest.approx(
-            math.sin(math.pi * x1) / (a1**2 + a2**2), rel=1e-9
+            a1**2 * math.sin(math.pi * x1) / (a1**2 + a2**2), rel=1e-15
         )
 
     def test_zero_state_zero_source(self, params_k1, table_k1):
         sp = SliceProblem(x2_tilde=0.0, params=params_k1, table=table_k1)
         coefficients = first_order_system(sp)
-        g, _, c2 = coefficients(0.5 * sum(sp.bounds))
+        g, _, c2 = coefficients(0.5)
         assert g / c2 == pytest.approx(0.0, abs=1e-15)
 
     def test_algebraic_rederivation_at_random_states(self, params_k4, table_k4):
-        # oracle: W' = (g - c1 W)/c2 from the returned arrays, multiplied
-        # back by c2, against the second-order form evaluated by the
-        # separate coefficient formulas
+        # oracle: the chain rule in z.  W' = (g - c1 W)/c2 from the returned
+        # arrays gives V' = W and V'' = W', so U' = V'/q and U'' = (V'' -
+        # q' V'/q)/q^2, which must satisfy (q^2 + S^2) U'' + (q' + T) U' = f
         rng = np.random.default_rng(21)
         sp = SliceProblem(x2_tilde=0.35, params=params_k4, table=table_k4)
+        a1, a2 = params_k4.alpha_float[:2]
+        S, T = (a2 * psi_derivative(table_k4, order, 0.35) for order in (1, 2))
         coefficients = first_order_system(sp)
-        z_min, z_max = sp.bounds
         for _ in range(20):
-            z = rng.uniform(z_min, z_max)
+            x1 = rng.uniform(0.0, 1.0)
             w = rng.standard_normal()
-            g, c1, c2 = coefficients(z)
+            g, c1, c2 = coefficients(x1)
             dw = (g - c1 * w) / c2
-            g_ref, c1_ref, c2_ref = separate_formulas(sp, z)
-            terms = (c2_ref * dw, c1_ref * w)
+            q, dq = (a1 * psi_derivative(table_k4, order, x1) for order in (1, 2))
+            terms = ((q**2 + S**2) * dw / q**2, -(q**2 + S**2) * dq * w / q**3, (dq + T) * w / q)
             scale = max(abs(t) for t in terms) + 1.0
             # residual measured against the largest term: the depth-4
-            # coefficients are huge and cancel, so g itself is a poor scale
-            assert abs(sum(terms) - g_ref) <= 1e-12 * scale
+            # coefficients are huge and cancel, so f itself is a poor scale
+            assert abs(sum(terms) - sp.rhs(x1, 0.35)) <= 1e-12 * scale
 
     def test_evaluated_once_per_solve_and_residual(self, params_k1, table_k1, monkeypatch):
         calls = []
@@ -263,9 +256,9 @@ class TestFirstOrderSystem:
         def counting(coeffs):
             coefficients = first_order_system(coeffs)
 
-            def counted(z):
-                calls.append(len(z))
-                return coefficients(z)
+            def counted(x1):
+                calls.append(len(x1))
+                return coefficients(x1)
 
             return counted
 
@@ -391,12 +384,10 @@ class TestCompareAndReconstruct:
         assert np.all(np.abs(field.values[0, :]) <= 1e-10)
         assert np.all(np.abs(field.values[-1, :]) <= 1e-10)
         assert np.all(field.values[:, 0] == 0.0)
-        # roundtrip: interior values equal direct slice lookups
-        a1, a2 = params_k1.alpha_float
-        sol, sp = solutions[float(rows[2])]
-        z = a1 * psi_eval(table_k1, x1_nodes) + a2 * psi_eval(table_k1, rows[2])
-        direct = np.interp(z, sol.nodes, sol.U)
-        assert np.allclose(field.values[:, 2], direct, atol=0.0)
+        # roundtrip: interior values equal direct lookups on the slice's x1 mesh
+        sol, _ = solutions[float(rows[2])]
+        direct = np.interp(x1_nodes, np.linspace(0.0, 1.0, 201), sol.U)
+        assert np.array_equal(field.values[:, 2], direct)
 
     def test_psi_at_x2_once_per_slice(self, tmp_path, monkeypatch):
         # psi at a row's x2 comes from the slice's one jet there (one scalar
@@ -453,51 +444,51 @@ class TestAmplitudeRatio:
         assert abs(gap) <= 4 * h**2
 
 
-def manufactured_rhs(sp, dU, d2U):
-    """The chain-rule Laplacian of u = U*(z(x1, x2)): U*''(z) (a1^2 psi'(x1)^2
-    + a2^2 psi'(x2)^2) + U*'(z) (a1 psi''(x1) + a2 psi''(x2)), from psi jets."""
+def manufactured_rhs(sp, dV, d2V):
+    """The source f* = c2 V*'' + c1 V*' of the slice ODE in x1 for a given
+    V*(x1), with c2 = 1 + S^2/q^2 and c1 = T/q - S^2 q'/q^3 written out from
+    psi jets: the chain-rule Laplacian of u* = U*(z) with U*(z(x1)) = V*(x1)."""
     a1, a2 = sp.params.alpha_float[:2]
 
     def rhs(x1, x2):
-        p0, p1, p2 = psi_jet(sp.table, x1)
-        q0, q1, q2 = psi_jet(sp.table, x2)
-        z = a1 * p0 + a2 * q0
-        return d2U(z) * (a1**2 * p1**2 + a2**2 * q1**2) + dU(z) * (a1 * p2 + a2 * q2)
+        _, p1, p2 = psi_jet(sp.table, x1)
+        _, s1, s2 = psi_jet(sp.table, x2)
+        q, dq, S, T = a1 * p1, a1 * p2, a2 * s1, a2 * s2
+        return d2V(x1) * (1.0 + S**2 / q**2) + dV(x1) * (T / q - S**2 * dq / q**3)
 
     return rhs
 
 
 class TestManufacturedSlice:
-    """With the chain-rule Laplacian of U*(z) as its source, the slice ODE
-    (the chain form, divided by alpha_1 psi'(x1)) is satisfied by U*
-    itself, at every depth: the source and the coefficients read the same
-    psi jets.  So the solve returns U*: exactly for a quadratic, whose W =
-    U*' is linear and W' = (g - c1 W)/c2 = U*'' constant, which
-    trapezoidal collocation integrates exactly, and to O(h^2) for a sine
-    where the coefficients are smooth on the mesh."""
+    """With the source built for a known V*(x1) from the x1 coefficients,
+    the slice ODE c2 V'' + c1 V' = g is satisfied by V* itself, at every
+    depth: the source and the coefficients read the same psi jets.  So the
+    solve returns V*: exactly for a quadratic, whose W = V*' is linear and
+    W' = (g - c1 W)/c2 = V*'' constant, which trapezoidal collocation
+    integrates exactly, and to O(h^2) for a sine.  At k=2 the coefficients
+    are continuous and smooth inside each of the 100 psi cells, and the
+    meshes of 101, 201 and 401 nodes put a node on every cell end."""
 
     @staticmethod
     def relative_errors(params, table, x2, case):
         base = SliceProblem(x2_tilde=x2, params=params, table=table)
-        lo, hi = base.bounds
-        w = math.pi / params.alpha_float[0]
-        U, dU, d2U = {
+        V, dV, d2V = {
             "quadratic": (
-                lambda z: (z - lo) * (hi - z),
-                lambda z: hi + lo - 2.0 * z,
-                lambda z: np.full_like(z, -2.0),
+                lambda x: x * (1.0 - x),
+                lambda x: 1.0 - 2.0 * x,
+                lambda x: np.full_like(x, -2.0),
             ),
             "sine": (
-                lambda z: np.sin(w * (z - lo)),
-                lambda z: w * np.cos(w * (z - lo)),
-                lambda z: -(w**2) * np.sin(w * (z - lo)),
+                lambda x: np.sin(np.pi * x),
+                lambda x: np.pi * np.cos(np.pi * x),
+                lambda x: -(np.pi**2) * np.sin(np.pi * x),
             ),
         }[case]
-        sp = dataclasses.replace(base, rhs=manufactured_rhs(base, dU, d2U))
+        sp = dataclasses.replace(base, rhs=manufactured_rhs(base, dV, d2V))
         errors = []
         for n_nodes in (101, 201, 401):
-            sol, _ = solve_slice(sp, n_nodes=n_nodes)
-            exact = U(sol.nodes)
+            sol, problem = solve_slice(sp, n_nodes=n_nodes)
+            exact = V(problem.nodes)
             errors.append(np.max(np.abs(sol.U - exact)) / np.max(np.abs(exact)))
         return errors
 
@@ -516,24 +507,53 @@ class TestManufacturedSlice:
         errors = self.relative_errors(params_k2, table_k2, x2, "quadratic")
         assert max(errors) <= 1e-12
 
-    @pytest.mark.parametrize(
-        "x2",
-        [
-            0.3,
-            pytest.param(
-                0.77,
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    reason="c1 jumps inside z-intervals, so the error stalls "
-                    "(8.4e-5, 2.6e-5, 4.1e-5); ROADMAP item 3's psi-aligned "
-                    "mesh with per-interval coefficients puts the jumps on nodes",
-                ),
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("x2", [0.3, 0.77])
     def test_sine_converges_at_second_order_at_k2(self, x2, params_k2, table_k2):
         errors = self.relative_errors(params_k2, table_k2, x2, "sine")
         assert all(3.5 <= coarse / fine <= 4.5 for coarse, fine in zip(errors, errors[1:]))
+
+
+class TestSolvedInX1:
+    def test_nodes_are_z_of_the_x1_mesh(self, params_k2, table_k2):
+        sp = SliceProblem(x2_tilde=0.3, params=params_k2, table=table_k2)
+        sol, problem = solve_slice(sp, n_nodes=201)
+        assert np.array_equal(problem.nodes, np.linspace(0.0, 1.0, 201))
+        z = params_k2.alpha_float[0] * psi_eval(table_k2, problem.nodes) + sp.bounds[0]
+        assert np.array_equal(sol.nodes, z)
+        assert sol.nodes[0] == sp.bounds[0]
+        assert sol.nodes[-1] == pytest.approx(sp.bounds[1], rel=1e-15)
+
+    def test_slice_path_inverts_no_psi(self, params_k2, table_k2, tmp_path, monkeypatch):
+        def no_inverse(table, y):
+            raise AssertionError("psi inverted on the slice path")
+
+        monkeypatch.setattr(reduction, "psi_inverse", no_inverse)
+        rows = np.array([0.0, 0.3, 1.0])
+        solutions = {}
+        for x2 in map(float, rows):
+            sp = SliceProblem(x2_tilde=x2, params=params_k2, table=table_k2)
+            sol, _ = solve_slice(sp, n_nodes=201)
+            compare_slice(sol, sp)
+            solutions[x2] = (sol, sp)
+        reconstruct_field(solutions, np.linspace(0.0, 1.0, 9), rows)
+        argv = ["sweep", "--k", "2", "--x2-grid", "3", "--mesh", "101", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+
+
+class TestSelfConvergenceAtK2:
+    """On the uniform x1 mesh the k=2 amplitude ratio settles as the mesh is
+    refined fourfold.  No value is asserted: a k=2 value waits for an error
+    estimate (ROADMAP item 4)."""
+
+    @pytest.mark.parametrize("x2", [0.3, 0.77])
+    def test_ratio_changes_shrink_at_least_fourfold(self, x2, params_k2, table_k2):
+        sp = SliceProblem(x2_tilde=x2, params=params_k2, table=table_k2)
+        ratios = [
+            compare_slice(solve_slice(sp, n_nodes=n)[0], sp).amplitude_ratio
+            for n in (1001, 4001, 16001, 64001)
+        ]
+        changes = np.abs(np.diff(ratios))
+        assert np.all(4.0 * changes[1:] <= changes[:-1])
 
 
 class TestChangeOfVariablesIdentity:
@@ -589,18 +609,18 @@ class TestTrapezoid:
         params = compute_constants(2, 10, 8, k=k)
         table = build_psi(params)
         sp = SliceProblem(x2_tilde=x2, params=params, table=table)
-        sol, _ = solve_slice(sp, n_nodes=101)
+        sol, problem = solve_slice(sp, n_nodes=101)
         z = sol.nodes
-        z_min, z_max = sp.bounds
-        fine = np.linspace(z_min, z_max, 801)
+        fine = np.linspace(0.0, 1.0, 801)
         g, _, c2 = first_order_system(sp)(fine)
         w = cumulative_trapezoid(g / c2, fine, initial=0.0)
-        u = cumulative_trapezoid(w, fine, initial=0.0)
-        u -= (fine - z_min) / (z_max - z_min) * u[-1]
-        u_closed = np.interp(z, fine, u)
+        v = cumulative_trapezoid(w, fine, initial=0.0)
+        v -= fine * v[-1]
+        z_fine = params.alpha_float[0] * psi_eval(table, fine) + sp.bounds[0]
+        u_closed = np.interp(z, z_fine, v)
         assert np.array_equal(reduced_closed_form(sp, z), u_closed)
         report = compare_slice(sol, sp)
-        u_analytic = analytic_solution(x1_of_z(z, sp), x2)
+        u_analytic = analytic_solution(problem.nodes, x2)
         l2_closed = float(np.sqrt(trapezoid((sol.U - u_closed) ** 2, z)))
         l2_analytic = float(np.sqrt(trapezoid((sol.U - u_analytic) ** 2, z)))
         assert report.l2_vs_closed_form == l2_closed
