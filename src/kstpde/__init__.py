@@ -24,7 +24,6 @@ from .reduction import (
     boundary_conditions,
     compare_slice,
     first_order_system,
-    jacobian_factor,
     reconstruct_field,
     solve_slice,
     x1_of_z,

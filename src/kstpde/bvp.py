@@ -14,9 +14,8 @@ numpy only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cache, cached_property
-from typing import Callable
+from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -57,31 +56,36 @@ class NonFiniteResidualError(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
+@dataclass
 class BvpProblem:
-    """Linear BVP c2 U'' + c1 U' = g with U = 0 at both ends, on N uniform
-    nodes of [z_min, z_max]; ``coefficients(z)`` returns (g, c1, c2)."""
+    """Linear BVP c2 U'' + c1 U' = g with U = 0 at both ends, on the uniform
+    mesh ``nodes``; g, c1 and c2 hold values at the nodes, or one constant."""
 
-    z_min: float
-    z_max: float
-    coefficients: Callable
-    n_nodes: int
+    nodes: np.ndarray
+    g: np.ndarray
+    c1: np.ndarray
+    c2: np.ndarray
 
     def __post_init__(self):
-        if self.n_nodes < 3:
-            raise ValueError(f"mesh must have at least 3 nodes, got {self.n_nodes}")
-        if not self.z_min < self.z_max:
-            raise ValueError(f"need z_min < z_max, got [{self.z_min}, {self.z_max}]")
+        nodes = np.asarray(self.nodes, dtype=float)
+        n = len(nodes)
+        if n < 3:
+            raise ValueError(f"mesh must have at least 3 nodes, got {n}")
+        # the solver reads one step, nodes[1] - nodes[0]; the rest may differ by rounding
+        steps = np.diff(nodes)
+        spread = 8.0 * np.finfo(float).eps * np.max(np.abs(nodes))
+        if not (np.all(steps > 0.0) and np.ptp(steps) <= spread):
+            raise ValueError("mesh nodes must increase in equal steps")
+        self.nodes = nodes
+        for name in ("g", "c1", "c2"):
+            values = np.asarray(getattr(self, name), dtype=float)
+            if values.ndim and values.shape != (n,):
+                raise ValueError(f"{name} has {values.size} values for {n} nodes")
+            setattr(self, name, np.broadcast_to(values, (n,)))
 
-    @cached_property
-    def nodes(self) -> np.ndarray:
-        return np.linspace(self.z_min, self.z_max, self.n_nodes)
-
-    @cached_property
-    def mesh_coefficients(self) -> tuple[np.ndarray, ...]:
-        """``coefficients`` evaluated once, on the nodes, as arrays of length N."""
-        n, values = self.n_nodes, self.coefficients(self.nodes)
-        return tuple(np.broadcast_to(np.asarray(c, dtype=float), (n,)) for c in values)
+    @property
+    def n_nodes(self) -> int:
+        return len(self.nodes)
 
 
 @dataclass
@@ -90,7 +94,8 @@ class BvpSolution:
     U: np.ndarray
     W: np.ndarray
     iterations: int
-    residual_history: list = field(default_factory=list)
+    residual_before: float = np.nan
+    residual_after: float = np.nan
     converged: bool = False
 
 
@@ -98,9 +103,8 @@ def _residual(problem: BvpProblem, state: np.ndarray) -> np.ndarray:
     """Trapezoid collocation residual of the interleaved state (U0, W0, U1,
     W1, ...), its rows in the order of ``_collocation_band``."""
     h = problem.nodes[1] - problem.nodes[0]
-    g, c1, c2 = problem.mesh_coefficients
     U, W = state[0::2], state[1::2]
-    dW = (g - c1 * W) / c2
+    dW = (problem.g - problem.c1 * W) / problem.c2
     r = np.empty_like(state)
     r[0] = U[0]
     r[1:-1:2] = U[1:] - U[:-1] - 0.5 * h * (W[1:] + W[:-1])
@@ -120,8 +124,7 @@ def _collocation_band(problem: BvpProblem) -> np.ndarray:
     """
     n = problem.n_nodes
     half = 0.5 * (problem.nodes[1] - problem.nodes[0])
-    _, c1, c2 = problem.mesh_coefficients
-    b = half * c1 / c2
+    b = half * problem.c1 / problem.c2
     band = np.zeros((2 * KL + KU + 1, 2 * n), order="F")
     # the boundary rows: 1 on their end U
     band[3, 0] = band[4, -2] = 1.0
@@ -169,7 +172,9 @@ def _finite_residual(problem: BvpProblem, state: np.ndarray, stage: str) -> np.n
 def newton_solve(problem: BvpProblem, tol: float = 1e-10) -> BvpSolution:
     """Solve the collocation system by one exact Newton step from zero.
 
-    No step is taken (``iterations`` 0) when the zero state already meets
+    ``residual_before`` and ``residual_after`` are the residual's infinity
+    norms at zero and at the returned state.  No step is taken
+    (``iterations`` 0, the two equal) when the zero state already meets
     tol.  A finite residual left above tol is reported through
     ``converged=False``, not raised; a residual that is not finite, before
     or after the step, raises NonFiniteResidualError.
@@ -178,17 +183,19 @@ def newton_solve(problem: BvpProblem, tol: float = 1e-10) -> BvpSolution:
         raise ValueError(f"tol must be a finite number above 0, got {tol}")
     state = np.zeros(2 * problem.n_nodes)
     r = _finite_residual(problem, state, "before")
-    history = [float(np.max(np.abs(r)))]
-    if history[0] > tol:
+    before = after = float(np.max(np.abs(r)))
+    stepped = before > tol
+    if stepped:
         state = _solve_linear(_collocation_band(problem), -r)
-        history.append(float(np.max(np.abs(_finite_residual(problem, state, "after")))))
+        after = float(np.max(np.abs(_finite_residual(problem, state, "after"))))
     return BvpSolution(
         nodes=problem.nodes,
         U=state[0::2],
         W=state[1::2],
-        iterations=len(history) - 1,
-        residual_history=history,
-        converged=history[-1] <= tol,
+        iterations=int(stepped),
+        residual_before=before,
+        residual_after=after,
+        converged=after <= tol,
     )
 
 

@@ -278,14 +278,9 @@ def _solve_one(cfg: RunConfig, params, table, x2: float):
     sp = SliceProblem(x2_tilde=x2, params=params, table=table)
     sol, _ = solve_slice(sp, n_nodes=cfg.mesh, tol=cfg.tol)
     if not sol.converged:
-        residual = sol.residual_history[-1]
+        residual = sol.residual_after
         print(f"slice x2={x2}: residual {residual:.3g} above tol {cfg.tol:g}", file=sys.stderr)
     return sp, sol
-
-
-def _report_dict(report, sol) -> dict:
-    """compare_slice's distances plus the collocation residual the solve left."""
-    return {**report.to_dict(), "residual_inf": sol.residual_history[-1]}
 
 
 def _write_slice(cfg: RunConfig, sp, sol) -> list[Path]:
@@ -293,9 +288,7 @@ def _write_slice(cfg: RunConfig, sp, sol) -> list[Path]:
     compared = compare_slice(sol, sp)
     csv_path = cfg.out / f"slice_{_tag(x2)}.csv"
     export_solution_csv(sol, csv_path, extra_cols={"u_analytic_restriction": compared.u_analytic})
-    report = _report_dict(compared, sol)
-    report["residual_history"] = sol.residual_history
-    return [csv_path, _write_json(cfg, f"slice_{_tag(x2)}.json", report)]
+    return [csv_path, _write_json(cfg, f"slice_{_tag(x2)}.json", compared.to_dict())]
 
 
 def cmd_solve(cfg: RunConfig, args: argparse.Namespace) -> CommandResult:
@@ -318,7 +311,7 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> CommandResult:
     for x2 in map(float, rows):
         sp, sol = _solve_one(cfg, params, table, x2)
         artifacts += _write_slice(cfg, sp, sol)
-        solutions[x2] = (sol, sp)
+        solutions[x2] = sol
         all_converged &= sol.converged
     field = reconstruct_field(solutions, np.linspace(0.0, 1.0, cfg.x2_grid), rows)
     field_path = cfg.out / "field.csv"
@@ -332,7 +325,7 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> CommandResult:
     all_converged = True
     for x2 in cfg.x2:
         sp, sol = _solve_one(cfg, params, table, x2)
-        report = _report_dict(compare_slice(sol, sp), sol)
+        report = compare_slice(sol, sp).to_dict()
         artifacts.append(_write_json(cfg, f"compare_{_tag(x2)}.json", report))
         print(_strict_json(report))
         all_converged &= sol.converged

@@ -52,7 +52,7 @@ class MonotonicityError(RuntimeError):
 
     From ``build_psi`` (exact values) this signals an implementation bug.
     From ``SliceProblem`` it means the float64 view of a valid table has
-    lost strict monotonicity to rounding, so slices cannot invert psi.
+    lost strict monotonicity to rounding, so ``x1_of_z`` cannot invert psi.
     """
 
     def __init__(self, d_left, v_left, d_right, v_right):

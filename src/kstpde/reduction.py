@@ -33,7 +33,6 @@ __all__ = [
     "DegenerateBoundaryError",
     "default_source",
     "x1_of_z",
-    "jacobian_factor",
     "first_order_system",
     "boundary_conditions",
     "analytic_solution",
@@ -44,6 +43,8 @@ __all__ = [
     "export_field_csv",
     "trapezoid_panels",
 ]
+
+CLOSED_FORM_REFINE = 8  # x1 intervals of reduced_closed_form per interval of its z_nodes
 
 
 class DegenerateBoundaryError(RuntimeError):
@@ -81,8 +82,8 @@ class SliceProblem:
             raise ValueError(
                 f"n={self.params.n}: the slice reduction needs alpha_2, so n must be >= 2"
             )
-        # psi_inverse interpolates over the float64 view of the table, which
-        # loses strict monotonicity once node increments drop below rounding
+        # x1_of_z inverts psi over the float64 view of the table, which loses
+        # strict monotonicity once node increments drop below rounding
         flat = np.flatnonzero(~(np.diff(self.table.values) > 0.0))
         if flat.size:
             i = int(flat[0])
@@ -123,12 +124,6 @@ def _x1_jet(z, slice_problem: SliceProblem):
     divides by psi'(x1), which the exact slopes keep positive."""
     x1 = x1_of_z(z, slice_problem)
     return x1, psi_jet(slice_problem.table, x1)
-
-
-def jacobian_factor(z, slice_problem: SliceProblem):
-    """Change-of-variables factor dx1/dz = 1/(alpha_1 psi'(x1(z)))."""
-    _, (_, dpsi, _) = _x1_jet(z, slice_problem)
-    return 1.0 / (slice_problem.params.alpha_float[0] * dpsi)
 
 
 def _x1_mesh(n_nodes: int) -> np.ndarray:
@@ -195,10 +190,11 @@ def solve_slice(
     (solution, problem).  The solution's nodes are z = alpha_1 psi(x1) +
     z_min, its W is dV/dx1."""
     slice_problem.brackets  # raises DegenerateBoundaryError on a vacuous end
-    # the problem's nodes on [0, 1] are _x1_mesh(n_nodes)
-    problem = BvpProblem(0.0, 1.0, first_order_system(slice_problem), n_nodes)
+    x1 = _x1_mesh(n_nodes)
+    g, c1, c2 = first_order_system(slice_problem)(x1)
+    problem = BvpProblem(x1, g, c1, c2)
     a1 = slice_problem.params.alpha_float[0]
-    z = a1 * psi_eval(slice_problem.table, _x1_mesh(n_nodes)) + slice_problem.bounds[0]
+    z = a1 * psi_eval(slice_problem.table, x1) + slice_problem.bounds[0]
     return replace(newton_solve(problem, tol=tol), nodes=z), problem
 
 
@@ -213,18 +209,16 @@ def trapezoid_panels(y: np.ndarray, step) -> np.ndarray:
     return step * (y[..., 1:] + y[..., :-1]) / 2.0
 
 
-def reduced_closed_form(
-    slice_problem: SliceProblem, z_nodes: np.ndarray, refine: int = 8
-) -> np.ndarray:
+def reduced_closed_form(slice_problem: SliceProblem, z_nodes: np.ndarray) -> np.ndarray:
     """Reference solution by double integration of g/c2 with zero endpoints.
 
     That solves c2 V'' = g, the slice ODE only where c1 = 0, i.e. at depth
     1; at k >= 2 it is another equation.  The exact quadrature, with weight
     exp(int c1/c2), waits for an x1 mesh aligned with the psi cells and
     coefficients taken per cell.  Integration runs in x1 on a mesh refined
-    by ``refine`` relative to z_nodes, sampled back through its z.
+    by CLOSED_FORM_REFINE relative to z_nodes, sampled back through its z.
     """
-    x1 = _x1_mesh(refine * (len(z_nodes) - 1) + 1)
+    x1 = _x1_mesh(CLOSED_FORM_REFINE * (len(z_nodes) - 1) + 1)
     jet = psi_jet(slice_problem.table, x1)
     g, _, c2 = _coefficients(slice_problem, x1, jet)
     steps = np.diff(x1)
@@ -238,11 +232,12 @@ def reduced_closed_form(
 
 @dataclass(frozen=True)
 class SliceReport:
-    """Distances of a solved slice against its two references.
+    """The record of a solved slice: its solve, its collocation residual at
+    zero and where the solve left it, and its distances against two references.
 
     ``u_analytic`` is the analytic restriction u(x1, x2~) on the x1 mesh;
-    ``to_dict`` leaves it out.  ``amplitude_ratio`` is NaN where either
-    extremum is exactly zero.
+    ``to_dict``, the slice and compare JSON, leaves it out.
+    ``amplitude_ratio`` is NaN where either extremum is exactly zero.
     """
 
     x2_tilde: float
@@ -259,6 +254,8 @@ class SliceReport:
     amplitude_ratio: float
     extremum_z_numeric: float
     extremum_z_analytic: float
+    residual_before: float
+    residual_inf: float
     u_analytic: np.ndarray = field(repr=False, compare=False)
 
     def to_dict(self) -> dict:
@@ -270,8 +267,8 @@ def _l2(values: np.ndarray, z: np.ndarray) -> float:
 
 
 def compare_slice(solution: BvpSolution, slice_problem: SliceProblem) -> SliceReport:
-    """L-inf/L2 distances of U against the analytic restriction and the
-    closed form of the reduced ODE, plus the measured amplitude ratio."""
+    """The slice's record: L-inf/L2 distances of U against the analytic
+    restriction and the closed form, the amplitude ratio and the residuals."""
     z = solution.nodes
     x2t = slice_problem.x2_tilde
     z_min, z_max = slice_problem.bounds
@@ -303,6 +300,8 @@ def compare_slice(solution: BvpSolution, slice_problem: SliceProblem) -> SliceRe
         amplitude_ratio=ratio,
         extremum_z_numeric=float(z[i_num]),
         extremum_z_analytic=float(z[i_an]),
+        residual_before=solution.residual_before,
+        residual_inf=solution.residual_after,
         u_analytic=u_analytic,
     )
 
@@ -331,7 +330,7 @@ class Field2D:
 
 
 def reconstruct_field(
-    solutions: dict[float, tuple[BvpSolution, SliceProblem]],
+    solutions: dict[float, BvpSolution],
     x1_nodes: np.ndarray,
     x2_rows: np.ndarray,
 ) -> Field2D:
@@ -343,7 +342,7 @@ def reconstruct_field(
     for j, x2 in enumerate(x2_rows):
         if x2 not in solutions:
             raise KeyError(f"no solved slice for row x2={x2}")
-        sol, _ = solutions[x2]
+        sol = solutions[x2]
         values[:, j] = np.interp(x1_nodes, _x1_mesh(len(sol.U)), sol.U)
     return Field2D(x1=x1_nodes, x2=x2_rows, values=values)
 

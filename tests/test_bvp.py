@@ -46,13 +46,11 @@ def to_dense(band):
     return dense
 
 
-def make_problem(g, n_nodes, c1=0.0, z_min=0.0, z_max=1.0):
-    """U'' + c1 U' = g(z) with zero ends, as (g, c1, c2) = (g, c1, 1)."""
-
-    def coefficients(z):
-        return g(z), c1, 1.0
-
-    return BvpProblem(z_min=z_min, z_max=z_max, coefficients=coefficients, n_nodes=n_nodes)
+def make_problem(g, n_nodes, c1=0.0):
+    """U'' + c1 U' = g(z) with zero ends on n_nodes uniform nodes of [0, 1],
+    as (g, c1, c2) = (g, c1, 1)."""
+    z = np.linspace(0.0, 1.0, n_nodes)
+    return BvpProblem(z, g(z), c1, 1.0)
 
 
 BETA = 0.5
@@ -71,7 +69,7 @@ class TestNewtonSolve:
         sol = newton_solve(problem)
         assert sol.converged
         assert sol.iterations == 0
-        assert sol.residual_history == [0.0]
+        assert sol.residual_before == sol.residual_after == 0.0
         assert np.max(np.abs(sol.U)) == 0.0
 
     def test_constant_forcing_quadratic(self):
@@ -90,8 +88,9 @@ class TestNewtonSolve:
         sol = newton_solve(problem)
         assert sol.converged and sol.iterations == 1
         assert np.max(np.abs(sol.U - sol.nodes * (sol.nodes - 1.0))) <= 1e-14
-        assert len(sol.residual_history) == 2
-        assert sol.residual_history[-1] == ode_residual(sol, problem) <= 1e-10
+        zero_state = np.zeros(2 * problem.n_nodes)
+        assert sol.residual_before == np.max(np.abs(_residual(problem, zero_state))) > 1e-10
+        assert sol.residual_after == ode_residual(sol, problem) <= 1e-10
         state = np.column_stack([sol.U, sol.W]).ravel()
         step = _solve_linear(_collocation_band(problem), -_residual(problem, state))
         assert np.max(np.abs(step)) <= 1e-10 * (1.0 + np.max(np.abs(sol.U)))
@@ -121,7 +120,7 @@ class TestNewtonSolve:
     def test_residual_detects_perturbation(self):
         problem = make_problem(np.cos, 101)
         sol = newton_solve(problem)
-        h = (problem.z_max - problem.z_min) / (problem.n_nodes - 1)
+        h = problem.nodes[1] - problem.nodes[0]
         bumped = BvpSolution(
             nodes=sol.nodes,
             U=sol.U + np.where(np.arange(len(sol.U)) == 50, 1e-6, 0.0),
@@ -139,7 +138,7 @@ class TestNewtonSolve:
         sol = newton_solve(problem, tol=1e-300)
         assert not sol.converged
         assert sol.iterations == 1
-        assert len(sol.residual_history) == 2
+        assert 1e-300 < sol.residual_after < sol.residual_before
 
 
 class TestNonFiniteResidual:
@@ -153,12 +152,10 @@ class TestNonFiniteResidual:
          ("c1", np.inf), ("c2", np.nan), ("c2", 0.0)],
     )
     def test_coefficient_fails_before_the_step(self, name, bad):
-        def coefficients(z):
-            c = {"g": np.cos(z), "c1": np.zeros_like(z), "c2": np.ones_like(z)}
-            c[name][7] = bad
-            return c["g"], c["c1"], c["c2"]
-
-        problem = BvpProblem(z_min=0.0, z_max=1.0, coefficients=coefficients, n_nodes=21)
+        z = np.linspace(0.0, 1.0, 21)
+        c = {"g": np.cos(z), "c1": np.zeros_like(z), "c2": np.ones_like(z)}
+        c[name][7] = bad
+        problem = BvpProblem(z, c["g"], c["c1"], c["c2"])
         with np.errstate(all="ignore"), pytest.raises(NonFiniteResidualError) as exc:
             newton_solve(problem)
         # node 7 enters the W rows 2i+2 of intervals i = 6 and 7; 14 comes first
@@ -183,19 +180,18 @@ class TestNonFiniteResidual:
 
 class TestSparseJacobian:
     """The assembled collocation matrix on the depth-4 slice coefficients,
-    whose c1/c2 spans many orders of magnitude.  The source is
+    whose c1/c2 spans 6.6 to 3.7e9 on the 31 x1 nodes.  The source is
     zero, so the residual is the matrix times the state: forward
-    differences then see no rounding of the constant part: with the
-    default source, g/c2 reaches 9e21 on this slice."""
+    differences then see no rounding of a constant part."""
 
     @pytest.fixture(scope="class")
     def problem(self, params_k4, table_k4):
         sp = SliceProblem(
             x2_tilde=0.35, params=params_k4, table=table_k4, rhs=lambda x1, x2: 0.0 * x1
         )
-        z_min, z_max = sp.bounds
-        coefficients = first_order_system(sp)
-        return BvpProblem(z_min=z_min, z_max=z_max, coefficients=coefficients, n_nodes=31)
+        x1 = np.linspace(0.0, 1.0, 31)  # the coefficients are posed in x1
+        g, c1, c2 = first_order_system(sp)(x1)
+        return BvpProblem(x1, g, c1, c2)
 
     def test_matches_columnwise_forward_differences(self, problem):
         state = np.random.default_rng(5).standard_normal(2 * problem.n_nodes)
@@ -262,9 +258,7 @@ class TestSolveLinear:
         # finite coefficients whose ratio c1/c2 = 1e310 overflows the band to
         # inf, so elimination leaves NaN pivots; the residual before the
         # step is finite (1e9)
-        problem = BvpProblem(
-            z_min=0.0, z_max=1.0, coefficients=lambda z: (1.0, 1e300, 1e-10), n_nodes=11
-        )
+        problem = BvpProblem(np.linspace(0.0, 1.0, 11), 1.0, 1e300, 1e-10)
         with np.errstate(all="ignore"), pytest.raises(SingularMatrixError) as exc:
             newton_solve(problem)
         assert np.isnan(exc.value.pivot_value)
@@ -375,8 +369,42 @@ class TestValidation:
             make_problem(lambda z: z, 2)
 
     def test_rejects_empty_interval(self):
-        with pytest.raises(ValueError):
-            make_problem(lambda z: z, 11, z_min=1.0, z_max=1.0)
+        with pytest.raises(ValueError, match="increase in equal steps"):
+            BvpProblem(np.full(11, 1.0), 0.0, 0.0, 1.0)
+
+    def test_rejects_decreasing_nodes(self):
+        with pytest.raises(ValueError, match="increase in equal steps"):
+            BvpProblem(np.linspace(1.0, 0.0, 11), 0.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("node, shift", [(1, 1e-9), (5, 1e-12), (10, -1e-13)])
+    def test_rejects_uneven_nodes(self, node, shift):
+        # the solver reads only the first step, so any other step that
+        # differs from it by more than rounding would be solved wrongly
+        nodes = np.linspace(0.0, 1.0, 11)
+        nodes[node] += shift
+        with pytest.raises(ValueError, match="increase in equal steps"):
+            BvpProblem(nodes, 0.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("n", [3, 1001, 100_001])
+    def test_accepts_rounded_even_steps(self, n):
+        # linspace and arange meshes, off [0, 1] too, differ from equal
+        # steps by rounding only
+        for nodes in (np.linspace(0.2, 3.7, n), 0.3 + np.arange(n) * (1.0 / (n - 1))):
+            assert BvpProblem(nodes, 0.0, 0.0, 1.0).n_nodes == n
+
+    @pytest.mark.parametrize("name", ["g", "c1", "c2"])
+    @pytest.mark.parametrize("size", [1, 10, 12])
+    def test_rejects_coefficient_of_another_length(self, name, size):
+        coefficients = {"g": 0.0, "c1": 0.0, "c2": 1.0}
+        coefficients[name] = np.ones(size)
+        with pytest.raises(ValueError, match=f"{name} has {size} values for 11 nodes"):
+            BvpProblem(np.linspace(0.0, 1.0, 11), **coefficients)
+
+    def test_broadcasts_scalar_coefficients(self):
+        problem = BvpProblem(np.linspace(0.0, 1.0, 11), np.arange(11.0), 0.5, 1)
+        assert np.array_equal(problem.g, np.arange(11.0))
+        for values, scalar in ((problem.c1, 0.5), (problem.c2, 1.0)):
+            assert values.shape == (11,) and np.all(values == scalar)
 
     def test_rejects_bad_tolerance(self):
         problem = make_problem(lambda z: z, 11)

@@ -176,8 +176,7 @@ class TestSolve:
         report = json.loads((tmp_path / "out" / "slice_0p5.json").read_text())
         assert report["converged"] is False
         assert report["iterations"] == 1
-        assert len(report["residual_history"]) == 2
-        assert report["residual_history"][-1] == report["residual_inf"] > 1e-300
+        assert report["residual_before"] > report["residual_inf"] > 1e-300
         manifest = read_manifest(tmp_path)
         assert set(manifest["artifacts"]) == {"slice_0p5.csv", "slice_0p5.json"}
         assert "error" not in manifest
@@ -371,6 +370,7 @@ class TestArtifactText:
         for name in ("slice_0.json", "slice_1.json"):
             report = json.loads((tmp_path / "out" / name).read_text())
             assert report["iterations"] == 0
+            assert report["residual_before"] == report["residual_inf"]
             assert report["amplitude_ratio"] is None, name
 
 

@@ -4,7 +4,6 @@ import csv
 import dataclasses
 import io
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,7 +29,6 @@ from kstpde.reduction import (
     compare_slice,
     export_field_csv,
     first_order_system,
-    jacobian_factor,
     reconstruct_field,
     reduced_closed_form,
     solve_slice,
@@ -93,27 +91,6 @@ class TestX1OfZ:
     def test_rejects_outside_bounds(self, params_k1, table_k1):
         with pytest.raises(ValueError):
             x1_of_z(2.0, SliceProblem(x2_tilde=0.5, params=params_k1, table=table_k1))
-
-
-class TestJacobianFactor:
-    def test_identity_table_constant(self, params_k1, table_k1):
-        a1 = params_k1.alpha_float[0]
-        sp = SliceProblem(x2_tilde=0.3, params=params_k1, table=table_k1)
-        for z in np.linspace(*sp.bounds, 5):
-            assert jacobian_factor(z, sp) == pytest.approx(1.0 / a1, rel=1e-12)
-
-    def test_k4_matches_raw_table_difference(self, params_k4, table_k4):
-        # psi'(x1) is the exact forward difference at step 10**-4: the exact
-        # cell slopes around x1 interpolated at x1 read as a rational
-        sp = SliceProblem(x2_tilde=0.6, params=params_k4, table=table_k4)
-        z = 0.5 * sum(sp.bounds)
-        pos = Fraction(x1_of_z(z, sp)) * 10**4
-        m = math.floor(pos)
-        nums, q = table_k4.numerators, table_k4.denominator
-        s_m, s_next = (Fraction(nums[j + 1] - nums[j], q) * 10**4 for j in (m, m + 1))
-        exact = s_m + (pos - m) * (s_next - s_m)
-        a1 = params_k4.alpha_float[0]
-        assert jacobian_factor(z, sp) == pytest.approx(1.0 / (a1 * float(exact)), rel=1e-15)
 
 
 def separate_formulas(sp, x1):
@@ -378,14 +355,14 @@ class TestCompareAndReconstruct:
         for x2 in map(float, rows):
             sp = SliceProblem(x2_tilde=x2, params=params_k1, table=table_k1)
             sol, _ = solve_slice(sp, n_nodes=201)
-            solutions[x2] = (sol, sp)
+            solutions[x2] = sol
         x1_nodes = np.linspace(0.0, 1.0, 9)
         field = reconstruct_field(solutions, x1_nodes, rows)
         assert np.all(np.abs(field.values[0, :]) <= 1e-10)
         assert np.all(np.abs(field.values[-1, :]) <= 1e-10)
         assert np.all(field.values[:, 0] == 0.0)
         # roundtrip: interior values equal direct lookups on the slice's x1 mesh
-        sol, _ = solutions[float(rows[2])]
+        sol = solutions[float(rows[2])]
         direct = np.interp(x1_nodes, np.linspace(0.0, 1.0, 201), sol.U)
         assert np.array_equal(field.values[:, 2], direct)
 
@@ -534,7 +511,7 @@ class TestSolvedInX1:
             sp = SliceProblem(x2_tilde=x2, params=params_k2, table=table_k2)
             sol, _ = solve_slice(sp, n_nodes=201)
             compare_slice(sol, sp)
-            solutions[x2] = (sol, sp)
+            solutions[x2] = sol
         reconstruct_field(solutions, np.linspace(0.0, 1.0, 9), rows)
         argv = ["sweep", "--k", "2", "--x2-grid", "3", "--mesh", "101", "--out", str(tmp_path)]
         assert cli.main(argv) == 0
@@ -574,9 +551,11 @@ class TestChangeOfVariablesIdentity:
         x2 = checks.QUADRATURE_X2
 
         sp = SliceProblem(x2_tilde=x2, params=params_k1, table=table_k1)
+        a1 = params_k1.alpha_float[0]
 
         def integrand(z):
-            return poly(x1_of_z(z, sp)) * jacobian_factor(z, sp)
+            x1 = x1_of_z(z, sp)
+            return poly(x1) / (a1 * psi_jet(table_k1, x1)[1])
 
         quad, _ = fixed_quad(integrand, *sp.bounds, n=40)
         expected = abs(poly.integ()(1.0) - poly.integ()(0.0) - quad)
