@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -30,7 +32,7 @@ __all__ = [
     "write_csv",
 ]
 
-CSV_BLOCK_ROWS = 1024  # rows formatted per write by write_csv
+CSV_BLOCK_ROWS = 1024  # rows formatted per _format_block call by write_csv
 KL, KU = 1, 2  # sub- and super-diagonals of the interleaved collocation matrix
 
 
@@ -208,29 +210,70 @@ def ode_residual(solution: BvpSolution, problem: BvpProblem) -> float:
     return float(np.max(np.abs(_residual(problem, state))))
 
 
-def export_solution_csv(solution: BvpSolution, path, extra_cols=None) -> None:
-    """Write z,U,W rows (plus optional named extra columns)."""
-    header = ["z", "U", "W"]
-    columns = [solution.nodes, solution.U, solution.W]
-    if extra_cols:
-        for name, col in extra_cols.items():
-            header.append(name)
-            columns.append(np.asarray(col))
-    write_csv(path, header, np.column_stack(columns))
+def export_solution_csv(tables, extra_names=()) -> None:
+    """Write z,U,W rows, then the named extra columns, for each
+    (path, solution, extra columns) table, all in one ``write_csv`` call."""
+    write_csv(
+        ((path, np.column_stack([sol.nodes, sol.U, sol.W, *extra])) for path, sol, extra in tables),
+        ["z", "U", "W", *extra_names],
+    )
 
 
-def write_csv(path, header: list[str], rows: np.ndarray) -> None:
-    """Write a header line and the float rows as %.17g with CRLF line ends,
-    the output of ``csv.writer`` on the formatted values.
+def write_csv(tables, header: list[str]) -> None:
+    """Write each (path, rows) table as the header line and its float rows
+    as %.17g with CRLF line ends, the output of ``csv.writer`` on the
+    formatted values.  Every table has one column per header name.
 
     The text comes from ``_format_block``, byte for byte what ``"%.17g" % v``
-    gives, built for a block of CSV_BLOCK_ROWS rows at a time.
+    gives.  Consecutive tables are formatted together, CSV_BLOCK_ROWS rows
+    to a call, so many short tables cost a few calls, and a long one is
+    written block by block.  ``tables`` may be an iterator: a table is read
+    when its rows are due, so a generator holds few tables at a time.
     """
-    rows = np.asarray(rows, dtype=float)
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\r\n").encode())
-        for start in range(0, len(rows), CSV_BLOCK_ROWS):
-            fh.write(_format_block(rows[start : start + CSV_BLOCK_ROWS].ravel(), rows.shape[1]))
+    head = (",".join(header) + "\r\n").encode()
+    pieces = _formatted_pieces(tables, len(header))
+    for (_, path), texts in groupby(pieces, key=itemgetter(0, 1)):
+        with open(path, "wb") as fh:
+            fh.write(head)
+            for *_, text in texts:
+                fh.write(text)
+
+
+def _formatted_pieces(tables, ncols: int):
+    """(table index, path, text) pieces of the tables' CSV rows, in order and
+    at least one per table, from blocks of at most CSV_BLOCK_ROWS rows."""
+    block, size = [], 0
+    for i, (path, rows) in enumerate(tables):
+        rows = np.asarray(rows, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != ncols:
+            raise ValueError(f"{path}: rows of shape {rows.shape} for {ncols} columns")
+        start = 0
+        while True:
+            take = min(len(rows) - start, CSV_BLOCK_ROWS - size)
+            block.append((i, path, rows[start : start + take]))
+            start += take
+            size += take
+            if size == CSV_BLOCK_ROWS:
+                yield from _cut_block(block, ncols)
+                block, size = [], 0
+            if start == len(rows):
+                break
+    if block:
+        yield from _cut_block(block, ncols)
+
+
+def _cut_block(block: list, ncols: int):
+    """Format the block's rows in one ``_format_block`` call and cut the text
+    at the row ends of each table's piece: every row ends in one "\\n"."""
+    text = _format_block(np.concatenate([rows for *_, rows in block]).ravel(), ncols)
+    cuts = [0, len(text)]
+    if len(block) > 1:  # a single piece, as in a long table's blocks, needs no search
+        counts = np.cumsum([0] + [len(rows) for *_, rows in block])
+        row_ends = np.flatnonzero(np.frombuffer(text, np.uint8) == ord("\n")) + 1
+        cuts = np.concatenate([[0], row_ends])[counts].tolist()
+    view = memoryview(text)
+    for (i, path, _), start, stop in zip(block, cuts, cuts[1:]):
+        yield i, path, view[start:stop]
 
 
 # --------------------------------------------------------------------------

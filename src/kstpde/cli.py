@@ -9,7 +9,6 @@ success, 1 invariant/convergence failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import platform
@@ -19,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, checks, combinatorics, variational
+from . import __version__
 from .bvp import NonFiniteResidualError, SingularMatrixError, export_solution_csv
 from .inner import (
     FMT,
@@ -167,6 +166,8 @@ def _strict_json(payload, **kwargs) -> str:
 
 
 def write_manifest(cfg: RunConfig, artifacts: list[Path], error: Exception | None = None) -> Path:
+    import hashlib
+
     import scipy  # only for its version: the package root loads no subpackage
 
     checksums = {}
@@ -199,7 +200,9 @@ def _one_depth(cfg: RunConfig) -> int:
 
 # --------------------------------------------------------------------------
 # subcommands: each writes its artifacts under cfg.out and returns
-# (artifacts, ok); main writes the manifest and maps ok to the exit code
+# (artifacts, ok); main writes the manifest and maps ok to the exit code.
+# solve, sweep and compare write nothing before their last solve, so a typed
+# failure leaves the manifest alone in cfg.out.
 
 CommandResult = tuple[list[Path], bool]
 
@@ -254,6 +257,8 @@ def cmd_constants(cfg: RunConfig, args: argparse.Namespace) -> CommandResult:
 
 
 def cmd_bell(cfg: RunConfig, args: argparse.Namespace) -> CommandResult:
+    from . import combinatorics
+
     if args.max_m < 0:
         raise UsageError(f"--max-m must be >= 0, got {args.max_m}")
     path = cfg.out / "bell_partitions.csv"
@@ -263,6 +268,8 @@ def cmd_bell(cfg: RunConfig, args: argparse.Namespace) -> CommandResult:
 
 def cmd_taylor_check(cfg: RunConfig, args: argparse.Namespace) -> CommandResult:
     """Truncation-order study with cubic outer functions and identity table."""
+    from . import checks
+
     params, table = _params_and_table(cfg, 1)
     outer = checks.cubic_outer(7, 2 * cfg.n + 1)
     fits = {M: checks.taylor_order(outer, M, params, table) for M in (0, 1, 2)}
@@ -283,53 +290,48 @@ def _solve_one(cfg: RunConfig, params, table, x2: float):
     return sp, sol
 
 
-def _write_slice(cfg: RunConfig, sp, sol) -> list[Path]:
-    x2 = sp.x2_tilde
-    compared = compare_slice(sol, sp)
-    csv_path = cfg.out / f"slice_{_tag(x2)}.csv"
-    export_solution_csv(sol, csv_path, extra_cols={"u_analytic_restriction": compared.u_analytic})
-    return [csv_path, _write_json(cfg, f"slice_{_tag(x2)}.json", compared.to_dict())]
+def _write_slices(cfg: RunConfig, slices) -> list[Path]:
+    """The CSV and the JSON of each solved (SliceProblem, solution) pair:
+    every CSV in one export call, then the JSONs."""
+    reports = [compare_slice(sol, sp) for sp, sol in slices]
+    names = [f"slice_{_tag(sp.x2_tilde)}" for sp, _ in slices]
+    csvs = [cfg.out / f"{name}.csv" for name in names]
+    export_solution_csv(
+        [(path, sol, [report.u_analytic]) for path, (_, sol), report in zip(csvs, slices, reports)],
+        ["u_analytic_restriction"],
+    )
+    return csvs + [
+        _write_json(cfg, f"{name}.json", report.to_dict()) for name, report in zip(names, reports)
+    ]
 
 
 def cmd_solve(cfg: RunConfig, args: argparse.Namespace) -> CommandResult:
     params, table = _params_and_table(cfg, _one_depth(cfg))
-    artifacts = []
-    all_converged = True
-    for x2 in cfg.x2:
-        sp, sol = _solve_one(cfg, params, table, x2)
-        artifacts += _write_slice(cfg, sp, sol)
-        all_converged &= sol.converged
-    return artifacts, all_converged
+    slices = [_solve_one(cfg, params, table, x2) for x2 in cfg.x2]
+    return _write_slices(cfg, slices), all(sol.converged for _, sol in slices)
 
 
 def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> CommandResult:
     params, table = _params_and_table(cfg, _one_depth(cfg))
     rows = np.linspace(0.0, 1.0, cfg.x2_grid)
-    artifacts = []
-    all_converged = True
-    solutions = {}
-    for x2 in map(float, rows):
-        sp, sol = _solve_one(cfg, params, table, x2)
-        artifacts += _write_slice(cfg, sp, sol)
-        solutions[x2] = sol
-        all_converged &= sol.converged
+    slices = [_solve_one(cfg, params, table, x2) for x2 in map(float, rows)]
+    solutions = {sp.x2_tilde: sol for sp, sol in slices}
     field = reconstruct_field(solutions, np.linspace(0.0, 1.0, cfg.x2_grid), rows)
+    artifacts = _write_slices(cfg, slices)
     field_path = cfg.out / "field.csv"
     export_field_csv(field, field_path)
-    return artifacts + [field_path], all_converged
+    return artifacts + [field_path], all(sol.converged for _, sol in slices)
 
 
 def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> CommandResult:
     params, table = _params_and_table(cfg, _one_depth(cfg))
+    slices = [_solve_one(cfg, params, table, x2) for x2 in cfg.x2]
+    reports = [compare_slice(sol, sp).to_dict() for sp, sol in slices]
     artifacts = []
-    all_converged = True
-    for x2 in cfg.x2:
-        sp, sol = _solve_one(cfg, params, table, x2)
-        report = compare_slice(sol, sp).to_dict()
+    for x2, report in zip(cfg.x2, reports):
         artifacts.append(_write_json(cfg, f"compare_{_tag(x2)}.json", report))
         print(_strict_json(report))
-        all_converged &= sol.converged
-    return artifacts, all_converged
+    return artifacts, all(sol.converged for _, sol in slices)
 
 
 def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> CommandResult:
@@ -338,6 +340,8 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> CommandResult:
     The sign finding and the coincidence ratio are measured findings: they
     always pass and only report.
     """
+    from . import checks, variational
+
     params, table = _params_and_table(cfg, 1)
     a_ok, alpha_ok = checks.constants(params)
     monotone, nested, in_range = checks.psi_invariants(cfg.n, cfg.gamma, cfg.terms)

@@ -357,11 +357,11 @@ def z_map(params: KstParams, table: PsiTable, x: Sequence[float]):
 
 def export_psi_csv(table: PsiTable, path) -> None:
     """Write the node table as CSV with header d,psi."""
-    write_csv(path, ["d", "psi"], np.column_stack([table.nodes, table.values]))
+    write_csv([(path, np.column_stack([table.nodes, table.values]))], ["d", "psi"])
 
 
 def export_derivs_csv(table: PsiTable, xs, path) -> None:
     """Write x,psi,dpsi,d2psi rows at the given query points."""
     xs = np.asarray(xs, dtype=float)
     columns = [np.atleast_1d(c) for c in (xs, *psi_jet(table, xs))]
-    write_csv(path, ["x", "psi", "dpsi", "d2psi"], np.column_stack(columns))
+    write_csv([(path, np.column_stack(columns))], ["x", "psi", "dpsi", "d2psi"])

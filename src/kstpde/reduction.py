@@ -353,7 +353,6 @@ def export_field_csv(field: Field2D, path) -> None:
     u_an = analytic_solution(X1, X2)
     columns = [X1, X2, field.values, u_an, np.abs(field.values - u_an)]
     write_csv(
-        path,
+        [(path, np.column_stack([c.ravel() for c in columns]))],
         ["x1", "x2", "u_numeric", "u_analytic", "abs_err"],
-        np.column_stack([c.ravel() for c in columns]),
     )

@@ -1,6 +1,21 @@
 import pytest
 
+from kstpde import bvp
 from kstpde.inner import build_psi, compute_constants
+
+
+@pytest.fixture
+def format_block_rows(monkeypatch):
+    """The row count of each bvp._format_block call made during the test."""
+    rows = []
+    real = bvp._format_block
+
+    def counted(x, ncols):
+        rows.append(x.size // ncols)
+        return real(x, ncols)
+
+    monkeypatch.setattr(bvp, "_format_block", counted)
+    return rows
 
 
 @pytest.fixture(scope="session")

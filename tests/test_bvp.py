@@ -276,7 +276,7 @@ def csv_oracle(header, rows) -> bytes:
 
 def written(path, rows) -> bytes:
     header = [f"c{j}" for j in range(rows.shape[1])]
-    bvp.write_csv(path, header, rows)
+    bvp.write_csv([(path, rows)], header)
     assert path.read_bytes() == csv_oracle(header, rows)
     return path.read_bytes()
 
@@ -307,7 +307,7 @@ class TestExport:
             iterations=1,
         )
         extra = rng.standard_normal(n)
-        export_solution_csv(sol, tmp_path / "sol.csv", extra_cols={"extra": extra})
+        export_solution_csv([(tmp_path / "sol.csv", sol, [extra])], ["extra"])
         rows = np.column_stack([sol.nodes, sol.U, sol.W, extra])
         assert (tmp_path / "sol.csv").read_bytes() == csv_oracle(["z", "U", "W", "extra"], rows)
 
@@ -354,6 +354,40 @@ class TestExport:
         rows = rng.standard_normal((n_rows, n_cols)) * 10.0 ** rng.integers(-6, 19, (n_rows, n_cols))
         data = written(tmp_path / "s.csv", rows)
         assert data.count(b"\r\n") == n_rows + 1
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            [1, 101, 1023, 0, 1024, 1025, 2500],  # every block cuts a table
+            [1024, 0, 1023, 1, 2500, 101, 1025],  # two blocks end where a table does
+        ],
+    )
+    def test_grouped_tables(self, tmp_path, format_block_rows, sizes):
+        # one call formats consecutive tables together; each file is still
+        # the row-wise oracle's, the fallback values at the cuts included,
+        # and no block exceeds CSV_BLOCK_ROWS rows, which bounds the memory
+        # a block takes
+        rng = np.random.default_rng(7)
+        fallback = [1e-5, -0.0, np.nan, np.inf, -np.inf, 1e300]
+        tables = []
+        for j, n in enumerate(sizes):
+            rows = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-6, 19, (n, 3))
+            if n:
+                rows[0], rows[-1] = fallback[:3], fallback[3:]
+            tables.append((tmp_path / f"t{j}.csv", rows))
+        header = ["a", "b", "c"]
+        bvp.write_csv(tables, header)
+        for path, rows in tables:
+            assert path.read_bytes() == csv_oracle(header, rows)
+        assert max(format_block_rows) == bvp.CSV_BLOCK_ROWS
+        last = sum(sizes) - 5 * bvp.CSV_BLOCK_ROWS
+        assert format_block_rows == [bvp.CSV_BLOCK_ROWS] * 5 + [last]
+
+    def test_rejects_rows_of_another_width(self, tmp_path):
+        # every table shares the header, so a table of another width is refused
+        tables = [(tmp_path / "a.csv", np.ones((4, 2))), (tmp_path / "b.csv", np.ones((4, 3)))]
+        with pytest.raises(ValueError, match=r"shape \(4, 3\) for 2 columns"):
+            bvp.write_csv(tables, ["a", "b"])
 
     @settings(max_examples=300, deadline=None)
     @given(values=st.lists(st.floats(), max_size=40), n_cols=st.integers(1, 4))

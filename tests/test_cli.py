@@ -19,7 +19,7 @@ import pytest
 import scipy
 
 import kstpde
-from kstpde import cli, reduction
+from kstpde import bvp, cli, reduction
 from kstpde.bvp import NonFiniteResidualError, SingularMatrixError, ode_residual
 from kstpde.cli import main
 from kstpde.inner import build_psi, compute_constants, psi_inverse
@@ -195,6 +195,34 @@ class TestSolve:
         assert manifest["artifacts"] == {}
         assert manifest["error"] == {"type": "SingularMatrixError", "message": message}
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--x2-grid", "5", "--mesh", "11"],
+            ["solve", "--x2", "0.3,0.5,0.7", "--mesh", "11"],
+            ["compare", "--x2", "0.3,0.5,0.7", "--mesh", "11"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_failed_row_leaves_only_the_manifest(self, tmp_path, monkeypatch, argv):
+        # the third row's solve fails: the rows solved before it leave no
+        # file that the manifest does not list
+        real = cli.solve_slice
+        calls = []
+
+        def third_singular(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 3:
+                raise SingularMatrixError(3, 0.0)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_slice", third_singular)
+        assert run(tmp_path, *argv) == 1
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["manifest.json"]
+        manifest = read_manifest(tmp_path)
+        assert manifest["artifacts"] == {}
+        assert manifest["error"]["type"] == "SingularMatrixError"
+
     def test_non_finite_residual_exits_1(self, tmp_path, capsys, monkeypatch):
         # a NaN coefficient at node 10 is a typed failure in the manifest,
         # not a slice reported as not converged after no step
@@ -259,6 +287,13 @@ class TestSweepCompareVerify:
         assert len(rows) == 25
         boundary = [r for r in rows if float(r["x2"]) in (0.0, 1.0)]
         assert all(abs(float(r["u_numeric"])) <= 1e-10 for r in boundary)
+
+    def test_slice_csvs_share_format_blocks(self, tmp_path, format_block_rows):
+        # 21 slice CSVs of 101 rows, 2121 rows, take three blocks, not 21
+        # calls, and field.csv's 441 rows one more; no block holds more than
+        # CSV_BLOCK_ROWS rows
+        assert run(tmp_path, "sweep", "--x2-grid", "21", "--mesh", "101") == 0
+        assert format_block_rows == [bvp.CSV_BLOCK_ROWS, bvp.CSV_BLOCK_ROWS, 73, 441]
 
     def test_compare_reports(self, tmp_path, capsys):
         assert run(tmp_path, "compare", "--x2", "0.5", "--mesh", "201") == 0
@@ -635,8 +670,10 @@ import json, sys
 def loaded():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 import kstpde.cli
+kstpde_modules = sorted(m for m in sys.modules if m.startswith("kstpde."))
 from kstpde import checks
-state = {"import": loaded(), "rules_built": checks._gauss_legendre_40.cache_info().currsize}
+state = {"import": loaded(), "kstpde_import": kstpde_modules,
+         "rules_built": checks._gauss_legendre_40.cache_info().currsize}
 out = sys.argv[1]
 for argv in (["psi", "--k", "1"], ["constants"], ["bell"], ["taylor-check"]):
     assert kstpde.cli.main(argv + ["--out", f"{out}/{argv[0]}"]) == 0
@@ -657,8 +694,11 @@ def test_cli_import_loads_no_unused_scipy_subpackage(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     state = json.loads(result.stdout.splitlines()[-1])
-    # importing the CLI loads no scipy module and builds no quadrature rule
+    # importing the CLI loads no scipy module, none of the modules that only
+    # bell, taylor-check and verify use, and builds no quadrature rule
     assert state["import"] == []
+    needed = ["kstpde.bvp", "kstpde.cli", "kstpde.inner", "kstpde.reduction"]
+    assert state["kstpde_import"] == needed
     assert state["rules_built"] == 0
     # commands that solve no slice never load scipy.linalg, yet their
     # manifests still record the installed scipy version
